@@ -27,8 +27,9 @@ final case class Iteration(
 /** The deviation-selection step of HistSim (Section 3.3).
   *
   * Given current per-candidate (tau, n, exact) state it:
-  *   1. sorts candidates by estimated distance tau and takes the k
-  *      smallest as M;
+  *   1. selects the k + 1 candidates with the smallest estimated
+  *      distance tau (O(|V_Z| * k), no full sort) and takes the first k
+  *      as M;
   *   2. chooses the split point s halfway between the furthest candidate
   *      in M and the closest candidate outside M;
   *   3. assigns each candidate the largest deviation bound eps_i allowed
@@ -60,9 +61,9 @@ object Deviations {
     require(epsSep > 0 && epsRec > 0 && delta > 0 && delta < 1,
       s"bad (epsSep=$epsSep, epsRec=$epsRec, delta=$delta)")
 
-    val order = Array.range(0, nz).sortBy(state.tau)
     val kk = math.min(k, nz)
-    val matching = order.take(kk)
+    val order = smallest(state.tau, math.min(kk + 1, nz))
+    val matching = java.util.Arrays.copyOf(order, kk)
 
     val epsOut = new Array[Double](nz)
     val deltaOut = new Array[Double](nz)
@@ -73,7 +74,8 @@ object Deviations {
       else (state.tau(order(kk - 1)) + state.tau(order(kk))) / 2.0
 
     val inM = new Array[Boolean](nz)
-    matching.foreach(inM(_) = true)
+    var m = 0
+    while (m < kk) { inM(matching(m)) = true; m += 1 }
 
     val lowerFence = if (splitPoint.isNaN) 0.0 else math.max(splitPoint - epsSep / 2.0, 0.0)
     var i = 0
@@ -105,6 +107,33 @@ object Deviations {
     }
 
     Iteration(matching, epsOut, deltaOut, sum, max, active, splitPoint)
+  }
+
+  /** Indices of the `m` smallest entries of `tau`, ordered by
+    * `java.lang.Double.compare` and then by lower index: exactly the first
+    * `m` entries of `Array.range(0, tau.length).sortBy(tau)`, which is a
+    * stable sort. Insertion into a sorted prefix, O(tau.length * m); most
+    * entries are rejected by one comparison with the current m-th.
+    */
+  def smallest(tau: Array[Double], m: Int): Array[Int] = {
+    require(m >= 0 && m <= tau.length, s"m=$m out of [0, ${tau.length}]")
+    val out = new Array[Int](m)
+    if (m == 0) return out
+    var len = 0
+    var i = 0
+    while (i < tau.length) {
+      val t = tau(i)
+      if (len < m || java.lang.Double.compare(t, tau(out(m - 1))) < 0) {
+        // shift strictly larger entries right; equal ones keep their
+        // place ahead of i, since they have lower indices
+        var j = if (len < m) len else m - 1
+        while (j > 0 && java.lang.Double.compare(t, tau(out(j - 1))) < 0) { out(j) = out(j - 1); j -= 1 }
+        out(j) = i
+        if (len < m) len += 1
+      }
+      i += 1
+    }
+    out
   }
 
   /** Appendix A.2.3: when the analyst accepts any k in [k1, k2], pick the

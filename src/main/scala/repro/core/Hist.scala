@@ -36,9 +36,29 @@ object Hist {
     s
   }
 
-  /** Distance per Definition 2: normalize both sides, then l1. */
-  def dist(counts: Array[Long], target: Array[Double]): Double =
-    l1(normalize(counts), target)
+  /** Distance per Definition 2: normalize both sides, then l1. Computed in
+    * place, with the arithmetic of `l1(normalize(counts), target)` in the
+    * same order, so the result is bit-identical to it.
+    */
+  def dist(counts: Array[Long], target: Array[Double]): Double = {
+    var total = 0L
+    var i = 0
+    while (i < counts.length) { total += counts(i); i += 1 }
+    dist(counts, total, target)
+  }
+
+  /** [[dist]] for counts whose sum `total` is already known. */
+  def dist(counts: Array[Long], total: Long, target: Array[Double]): Double = {
+    require(counts.length == target.length, s"length mismatch: ${counts.length} vs ${target.length}")
+    var s = 0.0
+    var i = 0
+    while (i < counts.length) {
+      val p = if (total == 0L) 0.0 else counts(i).toDouble / total
+      s += math.abs(p - target(i))
+      i += 1
+    }
+    s
+  }
 
   /** Uniform distribution over `n` groups. */
   def uniform(n: Int): Array[Double] = Array.fill(n)(1.0 / n)

@@ -3,7 +3,8 @@ package repro.core
 /** Mutable per-candidate state for one HistSim run.
   *
   * Tracks, for each candidate i in [0, nCandidates):
-  *   - `n(i)`       — samples taken so far (tuples observed),
+  *   - `n(i)`       — samples taken so far (tuples observed), the sum of
+  *                    `counts(i)`,
   *   - `counts(i)`  — the empirical histogram over the |V_X| groups,
   *   - `tau(i)`     — l1 distance of the normalized empirical histogram
   *                    from the (already normalized) target Q-hat,
@@ -22,7 +23,10 @@ final class HistSimState(val nCandidates: Int, val target: Array[Double]) {
 
   val n: Array[Long] = new Array[Long](nCandidates)
   val counts: Array[Array[Long]] = Array.fill(nCandidates)(new Array[Long](vx))
-  val tau: Array[Double] = Array.fill(nCandidates)(Hist.l1(new Array[Double](vx), target))
+  val tau: Array[Double] = {
+    val unsampled = Hist.dist(new Array[Long](vx), target)
+    Array.fill(nCandidates)(unsampled)
+  }
   val exact: Array[Boolean] = new Array[Boolean](nCandidates)
 
   /** Add `c` observed tuples with group value `x` for candidate `z`.
@@ -36,10 +40,17 @@ final class HistSimState(val nCandidates: Int, val target: Array[Double]) {
 
   /** Recompute tau for the given candidates (after a batch of adds). */
   def refreshTau(touched: Iterable[Int]): Unit =
-    touched.foreach { z => tau(z) = Hist.dist(counts(z), target) }
+    touched.foreach { z => tau(z) = Hist.dist(counts(z), n(z), target) }
+
+  /** Recompute tau for the candidates `zs(0 until len)`, without boxing. */
+  def refreshTau(zs: Array[Int], len: Int): Unit = {
+    var i = 0
+    while (i < len) { val z = zs(i); tau(z) = Hist.dist(counts(z), n(z), target); i += 1 }
+  }
 
   /** Recompute tau for every candidate (used by tests as the oracle for
-    * the incremental path, and at initialization).
+    * the incremental path, and at initialization). It sums the counts
+    * rather than trusting `n`.
     */
   def refreshAllTau(): Unit = {
     var z = 0

@@ -2,6 +2,16 @@ package repro.engine
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import repro.Checked.asInt
+
+/** Receives the contents of storage blocks from [[BlockReader.visit]]:
+  * `startBlock(b)` once per block, then `triple` for each of b's
+  * (z, x, count) triples.
+  */
+trait BlockVisitor {
+  def startBlock(b: Int): Unit
+  def triple(z: Int, x: Int, c: Int): Unit
+}
 
 /** Supplies the contents of storage blocks as (z, x, count) triples —
   * the I/O-manager abstraction. Two implementations:
@@ -23,6 +33,26 @@ trait BlockReader {
     * triples. A block with no tuples yields an empty array.
     */
   def read(blocks: Array[Int]): Array[Array[(Int, Int, Int)]]
+
+  /** Feeds the requested blocks, in order, to `visitor`: the same blocks
+    * and triples as [[read]]. This default goes through `read`; a reader
+    * that holds its counts can override it to allocate nothing.
+    */
+  def visit(blocks: Array[Int], visitor: BlockVisitor): Unit = {
+    val contents = read(blocks)
+    var i = 0
+    while (i < blocks.length) {
+      visitor.startBlock(blocks(i))
+      val triples = contents(i)
+      var j = 0
+      while (j < triples.length) {
+        val t = triples(j)
+        visitor.triple(t._1, t._2, t._3)
+        j += 1
+      }
+      i += 1
+    }
+  }
 }
 
 /** One Spark job per batch: filter to the sampled blocks, aggregate. */
@@ -39,16 +69,10 @@ final class SparkRoundReader(df: DataFrame, zCol: String, xCol: String,
     val byBlock = rows.groupBy(r => asInt(r.get(0)))
     blocks.map { b =>
       byBlock.get(b) match {
-        case Some(rs) => rs.map(r => (asInt(r.get(1)), asInt(r.get(2)), r.getLong(3).toInt))
+        case Some(rs) => rs.map(r => (asInt(r.get(1)), asInt(r.get(2)), asInt(r.getLong(3))))
         case None     => Array.empty[(Int, Int, Int)]
       }
     }
-  }
-
-  private def asInt(v: Any): Int = v match {
-    case i: Int  => i
-    case l: Long => l.toInt
-    case other   => throw new IllegalStateException(s"expected integral value, got $other")
   }
 }
 
@@ -67,12 +91,19 @@ final class PrefetchedCounts private (
       Array.tabulate(until - from)(i => (zArr(from + i), xArr(from + i), cArr(from + i)))
     }
 
-  /** Iterate one block's triples without allocation (hot path for the
-    * driver-side simulation loop).
+  /** Walks the CSR arrays directly, allocating nothing: the hot path of
+    * [[Matchers]].
     */
-  def foreachInBlock(b: Int)(f: (Int, Int, Int) => Unit): Unit = {
-    var i = offsets(b)
-    while (i < offsets(b + 1)) { f(zArr(i), xArr(i), cArr(i)); i += 1 }
+  override def visit(blocks: Array[Int], visitor: BlockVisitor): Unit = {
+    var i = 0
+    while (i < blocks.length) {
+      val b = blocks(i)
+      visitor.startBlock(b)
+      var j = offsets(b)
+      val until = offsets(b + 1)
+      while (j < until) { visitor.triple(zArr(j), xArr(j), cArr(j)); j += 1 }
+      i += 1
+    }
   }
 
   def tuplesInBlock(b: Int): Long = {
@@ -81,18 +112,11 @@ final class PrefetchedCounts private (
     s
   }
 
+  /** Every CSR entry as (block, z, x), block by block. */
   def allTriples: Iterator[(Int, Int, Int)] =
-    zArr.indices.iterator.map(i => (blockOf(i), zArr(i), xArr(i)))
-
-  private def blockOf(entry: Int): Int = {
-    // binary search for the block owning CSR entry index
-    var lo = 0; var hi = numBlocks - 1
-    while (lo < hi) {
-      val mid = (lo + hi + 1) >>> 1
-      if (offsets(mid) <= entry) lo = mid else hi = mid - 1
+    Iterator.range(0, numBlocks).flatMap { b =>
+      Iterator.range(offsets(b), offsets(b + 1)).map(i => (b, zArr(i), xArr(i)))
     }
-    lo
-  }
 }
 
 object PrefetchedCounts {
@@ -113,12 +137,22 @@ object PrefetchedCounts {
     while (i < n) {
       val r = rows(i)
       blocks(i) = asInt(r.get(0)); zs(i) = asInt(r.get(1))
-      xs(i) = asInt(r.get(2)); cs(i) = r.getLong(3).toInt
+      xs(i) = asInt(r.get(2)); cs(i) = asInt(r.getLong(3))
       i += 1
     }
+    fromTriples(numBlocks, blocks, zs, xs, cs)
+  }
+
+  /** Packs parallel (block, z, x, count) arrays into CSR, keeping the input
+    * order within each block.
+    */
+  def fromTriples(numBlocks: Int, blocks: Array[Int], zs: Array[Int], xs: Array[Int],
+                  cs: Array[Int]): PrefetchedCounts = {
+    val n = blocks.length
+    require(zs.length == n && xs.length == n && cs.length == n, "triple arrays differ in length")
     // counting sort by block into CSR
     val offsets = new Array[Int](numBlocks + 1)
-    i = 0
+    var i = 0
     while (i < n) { offsets(blocks(i) + 1) += 1; i += 1 }
     i = 0
     while (i < numBlocks) { offsets(i + 1) += offsets(i); i += 1 }
@@ -131,11 +165,5 @@ object PrefetchedCounts {
       i += 1
     }
     new PrefetchedCounts(numBlocks, offsets, zOut, xOut, cOut)
-  }
-
-  private def asInt(v: Any): Int = v match {
-    case i: Int  => i
-    case l: Long => l.toInt
-    case other   => throw new IllegalStateException(s"expected integral value, got $other")
   }
 }

@@ -2,6 +2,7 @@ package repro.engine
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.Checked.asInt
 import repro.core.Hist
 import repro.data.{Dataset, QuerySpec, TargetSpec}
 
@@ -87,11 +88,5 @@ object GroundTruth {
     val tau = distances(hists, target)
     val topK = Array.range(0, q.vz).sortBy(tau).take(q.k)
     Truth(target, hists, tau, topK)
-  }
-
-  private def asInt(v: Any): Int = v match {
-    case i: Int  => i
-    case l: Long => l.toInt
-    case other   => throw new IllegalStateException(s"expected integral value, got $other")
   }
 }

@@ -26,8 +26,7 @@ object Harness {
               delta: Double = Workloads.DefaultDelta): QueryContext = {
     val truth = GroundTruth.forQuery(spark, ds, q)
     val reader = PrefetchedCounts.build(ds.df, q.zCol, q.xCol, "block", ds.numBlocks)
-    val index = BitmapIndex.fromBlockTriples(
-      reader.allTriples.map { case (b, z, _) => (b, z, 0) }, q.vz, ds.numBlocks)
+    val index = BitmapIndex.fromBlockTriples(reader.allTriples, q.vz, ds.numBlocks)
     val task = MatchTask(q.vz, q.vx, q.k, eps, delta, truth.target)
     QueryContext(ds, q, truth, reader, index, task)
   }

@@ -1,6 +1,5 @@
 package repro.engine
 
-import scala.collection.mutable.ArrayBuffer
 import repro.core.{Deviations, HistSimState, Iteration}
 import repro.index.BitmapIndex
 
@@ -21,7 +20,9 @@ object Approach {
   val all: Seq[Approach] = Seq(Scan, SlowMatch, ScanMatch, SyncMatch, FastMatch)
 }
 
-/** Inputs of one matching query, independent of approach. */
+/** Inputs of one matching query, independent of approach. Validated here,
+  * so that bad input fails where it enters rather than deep in a round.
+  */
 final case class MatchTask(
     vz: Int,
     vx: Int,
@@ -29,7 +30,16 @@ final case class MatchTask(
     eps: Double,
     delta: Double,
     target: Array[Double],
-)
+) {
+  require(vz >= 1, s"vz must be >= 1, got $vz")
+  require(target.length == vx, s"target has ${target.length} bins, expected vx=$vx")
+  require(k >= 1, s"k must be >= 1, got $k")
+  require(eps > 0, s"eps must be > 0, got $eps")
+  require(delta > 0 && delta < 1, s"delta must be in (0, 1), got $delta")
+  require(target.forall(q => java.lang.Double.isFinite(q) && q >= 0),
+    "target must be finite and non-negative")
+  require(math.abs(target.sum - 1.0) <= 1e-9, s"target must sum to 1, sums to ${target.sum}")
+}
 
 /** Output of one matcher run.
   *
@@ -76,13 +86,7 @@ object Matchers {
     require(index.numBlocks == b, "index and reader disagree on block count")
     val state = new HistSimState(task.vz, task.target)
     val cost = new Cost
-
-    // Sampling without replacement: once every block containing candidate
-    // z has been read, z's histogram is exact and its deviation is 0.
-    val blockTotal = Array.tabulate(task.vz)(index.blockCount)
-    val blocksSeen = new Array[Int](task.vz)
-    var z0 = 0
-    while (z0 < task.vz) { if (blockTotal(z0) == 0) state.markExact(z0); z0 += 1 }
+    val sink = new Sink(state, cost, index, b)
 
     var iter: Iteration = Deviations.iterate(state, task.k, task.eps, task.delta)
     cost.statsIters += 1
@@ -94,93 +98,62 @@ object Matchers {
       case _                  => it.deltaUpper <= task.delta
     }
 
-    val readSet = new java.util.BitSet(b)
-    var readCount = 0
+    val chunkLen = approach match {
+      case Approach.SyncMatch => params.syncStatsEvery
+      case Approach.FastMatch => params.lookahead
+      case _                  => params.roundBlocks
+    }
+    val chunkBuf = new Array[Int](math.min(chunkLen, b))
     var pos = math.floorMod(startBlock, b)
     var totalScanned = 0L
 
-    // stamp-based per-batch distinct-z and dirty-tau tracking
-    val stamp = new Array[Int](task.vz)
-    var stampVal = 0
-    val dirty = new ArrayBuffer[Int]
-
-    /** Next up-to-maxLen unread blocks in circular storage order. */
-    def collectChunk(maxLen: Int): Array[Int] = {
-      val buf = new ArrayBuffer[Int](maxLen)
+    /** Next up-to-chunkLen unread blocks in circular storage order. */
+    def collectChunk(): Array[Int] = {
+      var n = 0
       var scanned = 0
-      while (buf.length < maxLen && scanned < b && readCount < b) {
-        if (!readSet.get(pos)) buf += pos
+      while (n < chunkBuf.length && scanned < b && sink.readCount < b) {
+        if (!sink.readSet.get(pos)) { chunkBuf(n) = pos; n += 1 }
         pos += 1; if (pos == b) pos = 0
         scanned += 1
       }
       totalScanned += scanned
-      buf.toArray
+      java.util.Arrays.copyOf(chunkBuf, n)
     }
 
-    def readBlocks(blocks: Array[Int]): Unit = {
-      if (blocks.isEmpty) return
-      val contents = reader.read(blocks)
-      var i = 0
-      while (i < blocks.length) {
-        val block = blocks(i)
-        readSet.set(block); readCount += 1
-        cost.blocksRead += 1
-        stampVal += 1
-        val triples = contents(i)
-        var j = 0
-        while (j < triples.length) {
-          val (z, x, c) = triples(j)
-          state.add(z, x, c)
-          cost.tuplesRead += c
-          if (stamp(z) != stampVal) {
-            stamp(z) = stampVal
-            blocksSeen(z) += 1
-            if (blocksSeen(z) == blockTotal(z)) state.markExact(z)
-          }
-          dirty += z
-          j += 1
-        }
-        i += 1
-      }
-    }
+    def readBlocks(blocks: Array[Int]): Unit =
+      if (blocks.nonEmpty) reader.visit(blocks, sink)
 
     def runStats(): Unit = {
-      if (dirty.nonEmpty) { state.refreshTau(dirty.distinct); dirty.clear() }
+      sink.refreshTau()
       iter = Deviations.iterate(state, task.k, task.eps, task.delta)
       cost.statsIters += 1
       rounds += 1
     }
 
     var done = terminated(iter)
-    while (!done && readCount < b) {
+    while (!done && sink.readCount < b) {
+      val chunk = collectChunk()
       approach match {
         case Approach.Scan | Approach.ScanMatch | Approach.SlowMatch =>
-          val chunk = collectChunk(params.roundBlocks)
           cost.blocksConsidered += chunk.length
           readBlocks(chunk)
           if (approach != Approach.Scan) runStats()
 
         case Approach.SyncMatch =>
           // per-block AnyActive with (simulation-granular) fresh deltas
-          val chunk = collectChunk(params.syncStatsEvery)
-          val toRead = new ArrayBuffer[Int](chunk.length)
+          val mark = new Array[Boolean](chunk.length)
           var i = 0
           while (i < chunk.length) {
             cost.blocksConsidered += 1
-            if (Policies.syncAnyActive(index, iter.active, chunk(i), cost)) toRead += chunk(i)
+            mark(i) = Policies.syncAnyActive(index, iter.active, chunk(i), cost)
             i += 1
           }
-          readBlocks(toRead.toArray)
+          readBlocks(marked(chunk, mark))
           runStats()
 
         case Approach.FastMatch =>
-          val chunk = collectChunk(params.lookahead)
           cost.blocksConsidered += chunk.length
-          val mark = Policies.lookaheadAnyActive(index, iter.active, chunk, cost)
-          val toRead = new ArrayBuffer[Int](chunk.length)
-          var i = 0
-          while (i < chunk.length) { if (mark(i)) toRead += chunk(i); i += 1 }
-          readBlocks(toRead.toArray)
+          readBlocks(marked(chunk, Policies.lookaheadAnyActive(index, iter.active, chunk, cost)))
           runStats()
       }
       done = terminated(iter)
@@ -191,7 +164,6 @@ object Matchers {
 
     if (approach == Approach.Scan) runStats() // produce the exact ordering
 
-    val vzRange = 0 until task.vz
     val wall = approach match {
       case Approach.Scan => cost.ioUnits(params)
       case Approach.SlowMatch | Approach.ScanMatch =>
@@ -203,15 +175,81 @@ object Matchers {
                  cost.statsUnits(params, task.vz))
     }
 
+    // the state is not used after this point, so its arrays are handed over
     RunResult(
       approach = approach.name,
       matching = iter.matching,
-      counts = vzRange.map(z => state.counts(z).clone()).toArray,
-      tau = state.tau.clone(),
+      counts = state.counts,
+      tau = state.tau,
       deltaUpper = if (approach == Approach.Scan) 0.0 else iter.deltaUpper,
       rounds = rounds,
       cost = cost,
       simTime = wall,
     )
+  }
+
+  /** The blocks whose mark is set, in order (compacts `blocks` in place). */
+  private def marked(blocks: Array[Int], mark: Array[Boolean]): Array[Int] = {
+    var n = 0
+    var i = 0
+    while (i < blocks.length) {
+      if (mark(i)) { blocks(n) = blocks(i); n += 1 }
+      i += 1
+    }
+    java.util.Arrays.copyOf(blocks, n)
+  }
+
+  /** Takes in the blocks a run reads: adds their counts to the state and
+    * the cost, marks candidates exact once every block holding them is
+    * read, and lists each candidate touched since the last statistics
+    * iteration once. Allocates nothing per block or tuple.
+    */
+  private final class Sink(state: HistSimState, cost: Cost, index: BitmapIndex, numBlocks: Int)
+      extends BlockVisitor {
+    private val vz = state.nCandidates
+    val readSet = new java.util.BitSet(numBlocks)
+    var readCount = 0
+
+    // Sampling without replacement: once every block containing candidate
+    // z has been read, z's histogram is exact and its deviation is 0.
+    private val blockTotal = Array.tabulate(vz)(index.blockCount)
+    private val blocksSeen = new Array[Int](vz)
+    // stamp-based per-block distinct-z tracking
+    private val blockStamp = new Array[Int](vz)
+    private var blockEpoch = 0
+    // stamp-based per-round dirty-tau tracking
+    private val dirtyStamp = new Array[Int](vz)
+    private var roundEpoch = 1
+    private val dirty = new Array[Int](vz)
+    private var dirtyLen = 0
+
+    { var z = 0; while (z < vz) { if (blockTotal(z) == 0) state.markExact(z); z += 1 } }
+
+    override def startBlock(b: Int): Unit = {
+      readSet.set(b); readCount += 1
+      cost.blocksRead += 1
+      blockEpoch += 1
+    }
+
+    override def triple(z: Int, x: Int, c: Int): Unit = {
+      state.add(z, x, c)
+      cost.tuplesRead += c
+      if (blockStamp(z) != blockEpoch) {
+        blockStamp(z) = blockEpoch
+        blocksSeen(z) += 1
+        if (blocksSeen(z) == blockTotal(z)) state.markExact(z)
+      }
+      if (dirtyStamp(z) != roundEpoch) {
+        dirtyStamp(z) = roundEpoch
+        dirty(dirtyLen) = z; dirtyLen += 1
+      }
+    }
+
+    /** Refreshes tau of the candidates touched since the last call. */
+    def refreshTau(): Unit =
+      if (dirtyLen > 0) {
+        state.refreshTau(dirty, dirtyLen)
+        dirtyLen = 0; roundEpoch += 1
+      }
   }
 }

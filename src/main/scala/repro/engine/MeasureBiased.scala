@@ -2,6 +2,7 @@ package repro.engine
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
+import repro.Checked.asInt
 import repro.data.Gen
 
 /** Appendix A.1.1: measure-biased sampling for SUM aggregations.
@@ -39,8 +40,7 @@ object MeasureBiased {
     val rows = df.groupBy(col(zCol), col(xCol)).agg(sum(col(yCol)).as("s")).collect()
     val out = Array.fill(vz)(new Array[Double](vx))
     rows.foreach { r =>
-      val z = r.get(0) match { case i: Int => i; case l: Long => l.toInt }
-      val x = r.get(1) match { case i: Int => i; case l: Long => l.toInt }
+      val z = asInt(r.get(0)); val x = asInt(r.get(1))
       out(z)(x) = r.getDouble(2)
     }
     out

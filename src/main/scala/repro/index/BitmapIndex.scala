@@ -3,6 +3,7 @@ package repro.index
 import java.util.BitSet
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import repro.Checked.asInt
 
 /** Per-candidate block bitmaps (Section 4.1, "Bitmap Index Structures").
   *
@@ -41,16 +42,9 @@ object BitmapIndex {
       .collect()
     val bitmaps = Array.fill(vz)(new BitSet(numBlocks))
     rows.foreach { r =>
-      val z = r.getAs[Any](0) match {
-        case i: Int  => i
-        case l: Long => l.toInt
-        case other   => throw new IllegalStateException(s"non-integer candidate value $other")
-      }
+      val z = asInt(r.get(0))
       require(z >= 0 && z < vz, s"candidate value $z out of [0, $vz)")
-      r.getSeq[Any](1).foreach { b =>
-        val bi = b match { case i: Int => i; case l: Long => l.toInt }
-        bitmaps(z).set(bi)
-      }
+      r.getSeq[Any](1).foreach(b => bitmaps(z).set(asInt(b)))
     }
     new BitmapIndex(bitmaps, numBlocks)
   }

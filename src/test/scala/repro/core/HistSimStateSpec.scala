@@ -52,7 +52,7 @@ class HistSimStateSpec extends AnyFunSuite {
     s.refreshTau(touched)
     val incremental = s.tau.clone()
     s.refreshAllTau()
-    assert(incremental.zip(s.tau).forall { case (a, b) => math.abs(a - b) < 1e-12 })
+    assert(incremental.zip(s.tau).forall { case (a, b) => java.lang.Double.compare(a, b) == 0 })
   }
 
   test("tau converges to true distance as samples accumulate") {
@@ -78,5 +78,24 @@ class HistSimStateSpec extends AnyFunSuite {
 
   test("rejects empty target") {
     intercept[IllegalArgumentException](new HistSimState(3, Array.empty[Double]))
+  }
+
+  test("refreshTau over an array prefix agrees with the Iterable overload") {
+    val rng = new java.util.Random(13)
+    val target = Hist.normalize(Array(1.0, 2.0, 3.0, 4.0))
+    val a = mkState(vz = 20, target = target)
+    val b = mkState(vz = 20, target = target)
+    for (_ <- 0 until 300) {
+      val z = rng.nextInt(20); val x = rng.nextInt(4); val c = 1 + rng.nextInt(5)
+      a.add(z, x, c); b.add(z, x, c)
+    }
+    a.add(12, 0, 1); b.add(12, 0, 1); a.add(5, 1, 1); b.add(5, 1, 1)
+    val touched = Array(3, 0, 17, 9, 12, 5)
+    val len = 4 // entries past len must not be refreshed
+    a.refreshTau(touched, len)
+    b.refreshTau(touched.take(len).toSeq)
+    assert(a.tau.indices.forall(z => java.lang.Double.compare(a.tau(z), b.tau(z)) == 0))
+    val unsampled = mkState(vz = 1, target = target).tau(0)
+    assert(a.tau(12) == unsampled && a.tau(5) == unsampled)
   }
 }

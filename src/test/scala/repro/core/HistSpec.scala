@@ -68,4 +68,19 @@ class HistSpec extends AnyFunSuite {
     val b = Hist.normalize(Array(0L, 3L, 3L))
     assert(Hist.l1(a, b) <= 2.0 + 1e-12)
   }
+
+  test("dist is bit-equal to l1 of the normalized counts, all-zero counts included") {
+    val rng = new java.util.Random(11)
+    for (vx <- Seq(1, 2, 3, 17, 300); _ <- 0 until 20) {
+      val counts = Array.fill(vx)(if (rng.nextInt(3) == 0) 0L else rng.nextInt(1000000).toLong)
+      val target = Hist.normalize(Array.fill(vx)(rng.nextDouble() + 1e-3))
+      for (c <- Seq(counts, new Array[Long](vx)))
+        assert(java.lang.Double.compare(Hist.dist(c, target), Hist.l1(Hist.normalize(c), target)) == 0,
+          s"vx=$vx counts=${c.mkString(",")}")
+    }
+  }
+
+  test("dist rejects length mismatch") {
+    intercept[IllegalArgumentException](Hist.dist(Array(1L), Array(0.5, 0.5)))
+  }
 }

@@ -17,6 +17,24 @@ class BlockCountsSpec extends SparkSpec {
   private lazy val prefetched = PrefetchedCounts.build(df, "z", "x", "block", numBlocks)
   private lazy val sparkReader = new SparkRoundReader(df, "z", "x", "block", numBlocks)
 
+  /** Calls `f(block, z, x, c)` for every triple `visit` yields. */
+  private def visitAll(reader: BlockReader, blocks: Array[Int])(f: (Int, Int, Int, Int) => Unit): Unit =
+    reader.visit(blocks, new BlockVisitor {
+      private var b = -1
+      override def startBlock(block: Int): Unit = b = block
+      override def triple(z: Int, x: Int, c: Int): Unit = f(b, z, x, c)
+    })
+
+  /** What `visit` yields, in order: each block id, then its triples. */
+  private def visitLog(reader: BlockReader, blocks: Array[Int]): Seq[Any] = {
+    val log = scala.collection.mutable.ArrayBuffer.empty[Any]
+    reader.visit(blocks, new BlockVisitor {
+      override def startBlock(b: Int): Unit = log += b
+      override def triple(z: Int, x: Int, c: Int): Unit = log += ((z, x, c))
+    })
+    log.toSeq
+  }
+
   test("prefetched totals equal the full dataset") {
     val total = (0 until numBlocks).map(prefetched.tuplesInBlock).sum
     assert(total == 900L)
@@ -26,11 +44,9 @@ class BlockCountsSpec extends SparkSpec {
     val expected = df.groupBy("block", "z", "x").count().collect()
       .map(r => (r.getInt(0), r.getInt(1), r.getInt(2)) -> r.getLong(3)).toMap
     var seen = 0
-    for (b <- 0 until numBlocks) {
-      prefetched.foreachInBlock(b) { (z, x, c) =>
-        assert(expected((b, z, x)) == c.toLong, s"block=$b z=$z x=$x")
-        seen += 1
-      }
+    visitAll(prefetched, Array.range(0, numBlocks)) { (b, z, x, c) =>
+      assert(expected((b, z, x)) == c.toLong, s"block=$b z=$z x=$x")
+      seen += 1
     }
     assert(seen == expected.size)
   }
@@ -69,17 +85,42 @@ class BlockCountsSpec extends SparkSpec {
       .view.mapValues(_.size).toMap
     for (b <- 0 until numBlocks) {
       var cnt = 0
-      prefetched.foreachInBlock(b)((_, _, _) => cnt += 1)
+      visitAll(prefetched, Array(b))((_, _, _, _) => cnt += 1)
       assert(fromIter.getOrElse(b, 0) == cnt, s"block $b")
     }
   }
 
   test("reading all blocks reconstructs exact histograms") {
     val counts = Array.fill(3)(new Array[Long](3))
-    for (b <- 0 until numBlocks)
-      prefetched.foreachInBlock(b)((z, x, c) => counts(z)(x) += c)
+    visitAll(prefetched, Array.range(0, numBlocks))((_, z, x, c) => counts(z)(x) += c)
     val expected = GroundTruth.histograms(df, "z", "x", 3, 3)
     for (z <- 0 until 3)
       assert(counts(z).sameElements(expected(z)), s"z=$z")
+  }
+
+  test("visit yields the same blocks and triples, in the same order, as read") {
+    val batches = Seq(Array(0, 1, 2), Array(9 % numBlocks, 2, 9 % numBlocks, 0), Array.range(0, numBlocks).reverse)
+    for (batch <- batches) {
+      val fromRead = batch.toSeq.zip(prefetched.read(batch)).flatMap { case (b, ts) => b +: ts.toSeq }
+      assert(visitLog(prefetched, batch) == fromRead, s"batch ${batch.mkString(",")}")
+      // the default visit, through read
+      val readOnly = new BlockReader {
+        override def numBlocks: Int = prefetched.numBlocks
+        override def read(blocks: Array[Int]): Array[Array[(Int, Int, Int)]] = prefetched.read(blocks)
+      }
+      assert(visitLog(readOnly, batch) == fromRead, s"default visit, batch ${batch.mkString(",")}")
+    }
+  }
+
+  test("allTriples lists the CSR entries block by block, as read does") {
+    val fromRead = prefetched.read(Array.range(0, numBlocks)).zipWithIndex
+      .flatMap { case (ts, b) => ts.map { case (z, x, _) => (b, z, x) } }.toSeq
+    assert(prefetched.allTriples.toSeq == fromRead)
+  }
+
+  test("fromTriples packs into CSR, keeping input order within a block") {
+    val pc = PrefetchedCounts.fromTriples(3, Array(2, 0, 2, 0), Array(5, 6, 7, 8), Array(0, 1, 0, 1), Array(1, 2, 3, 4))
+    assert(pc.read(Array(0, 1, 2)).map(_.toSeq).toSeq == Seq(Seq((6, 1, 2), (8, 1, 4)), Seq(), Seq((5, 0, 1), (7, 0, 3))))
+    intercept[IllegalArgumentException](PrefetchedCounts.fromTriples(1, Array(0), Array(0, 1), Array(0), Array(1)))
   }
 }

@@ -213,4 +213,56 @@ class MatchersSpec extends AnyFunSuite {
     assert(!res.matching.contains(vz - 1))
     assert(res.deltaUpper <= 0.05)
   }
+
+  /** The same store as `reader`, packed into CSR. */
+  private def prefetch(reader: BlockReader): PrefetchedCounts = {
+    val all = reader.read(Array.range(0, reader.numBlocks))
+    val blocks = all.indices.flatMap(b => all(b).map(_ => b)).toArray
+    val ts = all.flatten
+    PrefetchedCounts.fromTriples(reader.numBlocks, blocks, ts.map(_._1), ts.map(_._2), ts.map(_._3))
+  }
+
+  test("a reader with only read (default visit) gives the same RunResult as PrefetchedCounts") {
+    val (toy, index, truth, b) = standardSetup()
+    val pc = prefetch(toy)
+    val readOnly = new BlockReader {
+      override def numBlocks: Int = pc.numBlocks
+      override def read(blocks: Array[Int]): Array[Array[(Int, Int, Int)]] = pc.read(blocks)
+    }
+    def costs(r: RunResult) = Seq(r.cost.tuplesRead, r.cost.blocksRead, r.cost.blocksConsidered,
+      r.cost.probesCold, r.cost.probesWarm, r.cost.lineMisses, r.cost.statsIters)
+    def same(x: Double, y: Double) = java.lang.Double.compare(x, y) == 0
+    for ((t, i) <- Seq(task(truth), task(truth, eps = 0.12, delta = 0.01)).zipWithIndex;
+         app <- Approach.all; start <- Seq(0, 17, 101, b - 1)) {
+      val what = s"task $i $app start=$start"
+      val got = Matchers.run(app, t, readOnly, index, start)
+      val want = Matchers.run(app, t, pc, index, start)
+      assert(got.approach == want.approach, what)
+      assert(got.matching.sameElements(want.matching), what)
+      assert(got.counts.indices.forall(z => got.counts(z).sameElements(want.counts(z))), what)
+      assert(got.tau.indices.forall(z => same(got.tau(z), want.tau(z))), what)
+      assert(same(got.deltaUpper, want.deltaUpper), what)
+      assert(got.rounds == want.rounds, what)
+      assert(costs(got) == costs(want), what)
+      assert(same(got.simTime, want.simTime), what)
+    }
+  }
+
+  test("MatchTask rejects bad input where it is built") {
+    val q = Array(0.25, 0.25, 0.5)
+    MatchTask(4, 3, 2, 0.1, 0.05, q) // valid
+    MatchTask(1, 3, 5, 0.1, 0.05, Array(0.1, 0.2, 0.7)) // k >= vz is allowed
+    intercept[IllegalArgumentException](MatchTask(0, 3, 2, 0.1, 0.05, q))
+    intercept[IllegalArgumentException](MatchTask(4, 4, 2, 0.1, 0.05, q))
+    intercept[IllegalArgumentException](MatchTask(4, 3, 0, 0.1, 0.05, q))
+    intercept[IllegalArgumentException](MatchTask(4, 3, 2, 0.0, 0.05, q))
+    intercept[IllegalArgumentException](MatchTask(4, 3, 2, Double.NaN, 0.05, q))
+    intercept[IllegalArgumentException](MatchTask(4, 3, 2, 0.1, 0.0, q))
+    intercept[IllegalArgumentException](MatchTask(4, 3, 2, 0.1, 1.0, q))
+    intercept[IllegalArgumentException](MatchTask(4, 3, 2, 0.1, 0.05, Array(-0.25, 0.75, 0.5)))
+    intercept[IllegalArgumentException](MatchTask(4, 3, 2, 0.1, 0.05, Array(Double.NaN, 0.5, 0.5)))
+    intercept[IllegalArgumentException](MatchTask(4, 3, 2, 0.1, 0.05, Array(Double.PositiveInfinity, 0.5, 0.5)))
+    intercept[IllegalArgumentException](MatchTask(4, 3, 2, 0.1, 0.05, Array(0.25, 0.25, 0.25)))
+    intercept[IllegalArgumentException](MatchTask(4, 3, 2, 0.1, 0.05, Array(0.25, 0.25, 0.5 + 1e-8)))
+  }
 }
