@@ -44,6 +44,8 @@ final class HistSimState(val nCandidates: Int, val target: Array[Double]) {
 
   /** Recompute tau for the candidates `zs(0 until len)`, without boxing. */
   def refreshTau(zs: Array[Int], len: Int): Unit = {
+    // copied to locals so that the loop reads no field
+    val tau = this.tau; val counts = this.counts; val n = this.n; val target = this.target
     var i = 0
     while (i < len) { val z = zs(i); tau(z) = Hist.dist(counts(z), n(z), target); i += 1 }
   }

@@ -3,6 +3,7 @@ package repro.engine
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.Checked.asInt
+import scala.collection.mutable.ArrayBuilder
 
 /** Receives the contents of storage blocks from [[BlockReader.visit]]:
   * `startBlock(b)` once per block, then `triple` for each of b's
@@ -19,10 +20,11 @@ trait BlockVisitor {
   *  - [[SparkRoundReader]] issues one distributed DataFrame aggregation
   *    per requested batch of blocks (the online-sampling path: each
   *    HistSim round is a real sample-then-aggregate Spark job);
-  *  - [[PrefetchedCounts]] runs a single Spark groupBy(block, z, x) pass
-  *    up front and serves blocks from driver memory, enabling the
-  *    fine-grained (per-4KiB-block) simulation the benchmarks need
-  *    without paying per-round Spark job latency.
+  *  - [[PrefetchedCounts]] runs a single shuffle-free Spark scan up
+  *    front, counts (block, z, x) on the driver and serves blocks from
+  *    driver memory, enabling the fine-grained (per-4KiB-block)
+  *    simulation the benchmarks need without paying per-round Spark job
+  *    latency.
   *
   * Both must agree exactly (tested).
   */
@@ -121,49 +123,90 @@ final class PrefetchedCounts private (
 
 object PrefetchedCounts {
 
-  /** One full groupBy(block, z, x) Spark pass, collected and packed. */
+  /** One Spark job with no shuffle. Each partition ships its (block, z, x)
+    * rows as three primitive arrays; the driver counts them in
+    * [[fromTriples]]. At 64 tuples per block nearly every (block, z, x)
+    * occurs once, so a Spark aggregation would shuffle about as many rows
+    * as it reads and save nothing.
+    *
+    * The three columns are read as a typed `Dataset[(Int, Int, Int)]`: a
+    * null fails when its row is deserialized, and a column that does not
+    * up-cast to `Int` (a `Long` one, say) fails at analysis, naming it.
+    */
   def build(df: DataFrame, zCol: String, xCol: String, blockCol: String,
             numBlocks: Int): PrefetchedCounts = {
-    val rows = df
-      .groupBy(col(blockCol).as("b"), col(zCol).as("z"), col(xCol).as("x"))
-      .agg(count(lit(1)).as("c"))
+    import df.sparkSession.implicits._
+    val parts = df.select(col(blockCol), col(zCol), col(xCol)).as[(Int, Int, Int)]
+      .mapPartitions { rows =>
+        val bs = new ArrayBuilder.ofInt; val zs = new ArrayBuilder.ofInt; val xs = new ArrayBuilder.ofInt
+        rows.foreach { r => bs += r._1; zs += r._2; xs += r._3 }
+        Iterator.single((bs.result(), zs.result(), xs.result()))
+      }
       .collect()
-    val n = rows.length
-    val blocks = new Array[Int](n)
-    val zs = new Array[Int](n)
-    val xs = new Array[Int](n)
-    val cs = new Array[Int](n)
-    var i = 0
-    while (i < n) {
-      val r = rows(i)
-      blocks(i) = asInt(r.get(0)); zs(i) = asInt(r.get(1))
-      xs(i) = asInt(r.get(2)); cs(i) = asInt(r.getLong(3))
-      i += 1
+    val n = asInt(parts.iterator.map(_._1.length.toLong).sum)
+    val blocks = new Array[Int](n); val zs = new Array[Int](n); val xs = new Array[Int](n)
+    var at = 0
+    for ((b, z, x) <- parts) {
+      System.arraycopy(b, 0, blocks, at, b.length)
+      System.arraycopy(z, 0, zs, at, z.length)
+      System.arraycopy(x, 0, xs, at, x.length)
+      at += b.length
     }
-    fromTriples(numBlocks, blocks, zs, xs, cs)
+    fromTriples(numBlocks, blocks, zs, xs)
   }
 
-  /** Packs parallel (block, z, x, count) arrays into CSR, keeping the input
-    * order within each block.
+  /** Counts parallel (block, z, x) rows, one row per tuple, into CSR. Each
+    * distinct (z, x) of a block becomes one (z, x, count) entry, and a
+    * block's entries are sorted by (z, x), so the same rows give the same
+    * CSR in any order.
     */
-  def fromTriples(numBlocks: Int, blocks: Array[Int], zs: Array[Int], xs: Array[Int],
-                  cs: Array[Int]): PrefetchedCounts = {
+  def fromTriples(numBlocks: Int, blocks: Array[Int], zs: Array[Int], xs: Array[Int]): PrefetchedCounts = {
     val n = blocks.length
-    require(zs.length == n && xs.length == n && cs.length == n, "triple arrays differ in length")
-    // counting sort by block into CSR
-    val offsets = new Array[Int](numBlocks + 1)
+    require(numBlocks >= 0, s"negative block count $numBlocks")
+    require(zs.length == n && xs.length == n, "triple arrays differ in length")
+    // counting sort by block, keys (z << 32) | x
+    val start = new Array[Int](numBlocks + 1)
     var i = 0
-    while (i < n) { offsets(blocks(i) + 1) += 1; i += 1 }
-    i = 0
-    while (i < numBlocks) { offsets(i + 1) += offsets(i); i += 1 }
-    val pos = offsets.clone()
-    val zOut = new Array[Int](n); val xOut = new Array[Int](n); val cOut = new Array[Int](n)
-    i = 0
     while (i < n) {
-      val p = pos(blocks(i)); pos(blocks(i)) += 1
-      zOut(p) = zs(i); xOut(p) = xs(i); cOut(p) = cs(i)
+      val b = blocks(i)
+      require(b >= 0 && b < numBlocks, s"block id $b out of range [0, $numBlocks)")
+      require(zs(i) >= 0, s"negative z ${zs(i)} in block $b")
+      require(xs(i) >= 0, s"negative x ${xs(i)} in block $b")
+      start(b + 1) += 1
       i += 1
     }
-    new PrefetchedCounts(numBlocks, offsets, zOut, xOut, cOut)
+    i = 0
+    while (i < numBlocks) { start(i + 1) += start(i); i += 1 }
+    val pos = start.clone()
+    val keys = new Array[Long](n)
+    i = 0
+    while (i < n) {
+      val b = blocks(i)
+      keys(pos(b)) = (zs(i).toLong << 32) | xs(i)
+      pos(b) += 1
+      i += 1
+    }
+    // sort each block's keys and turn each run of equal keys into one entry
+    val offsets = new Array[Int](numBlocks + 1)
+    val zOut = new Array[Int](n); val xOut = new Array[Int](n); val cOut = new Array[Int](n)
+    var e = 0
+    var b = 0
+    while (b < numBlocks) {
+      val until = start(b + 1)
+      java.util.Arrays.sort(keys, start(b), until)
+      var j = start(b)
+      while (j < until) {
+        val key = keys(j)
+        var run = j + 1
+        while (run < until && keys(run) == key) run += 1
+        zOut(e) = (key >>> 32).toInt; xOut(e) = key.toInt; cOut(e) = run - j
+        e += 1
+        j = run
+      }
+      b += 1
+      offsets(b) = e
+    }
+    new PrefetchedCounts(numBlocks, offsets, java.util.Arrays.copyOf(zOut, e),
+      java.util.Arrays.copyOf(xOut, e), java.util.Arrays.copyOf(cOut, e))
   }
 }

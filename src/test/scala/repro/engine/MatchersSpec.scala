@@ -214,12 +214,11 @@ class MatchersSpec extends AnyFunSuite {
     assert(res.deltaUpper <= 0.05)
   }
 
-  /** The same store as `reader`, packed into CSR. */
+  /** The same store as `reader`, packed into CSR: each (z, x, c) is c rows. */
   private def prefetch(reader: BlockReader): PrefetchedCounts = {
     val all = reader.read(Array.range(0, reader.numBlocks))
-    val blocks = all.indices.flatMap(b => all(b).map(_ => b)).toArray
-    val ts = all.flatten
-    PrefetchedCounts.fromTriples(reader.numBlocks, blocks, ts.map(_._1), ts.map(_._2), ts.map(_._3))
+    val rows = all.indices.flatMap(b => all(b).flatMap { case (z, x, c) => Seq.fill(c)((b, z, x)) })
+    PrefetchedCounts.fromTriples(reader.numBlocks, rows.map(_._1).toArray, rows.map(_._2).toArray, rows.map(_._3).toArray)
   }
 
   test("a reader with only read (default visit) gives the same RunResult as PrefetchedCounts") {
