@@ -35,6 +35,7 @@ object TargetSpec {
 
 /** One histogram-matching query (a row of the paper's Table 3), plus the
   * paper's measured numbers from Table 4 for side-by-side reporting.
+  * Validated here, so that a bad query fails where it is written.
   */
 final case class QuerySpec(
     dataset: String,
@@ -47,7 +48,19 @@ final case class QuerySpec(
     target: TargetSpec,
     paperScanSec: Double,
     paperSpeedups: Map[String, Double],
-)
+) {
+  require(vz >= 1, s"vz must be >= 1, got $vz")
+  require(vx >= 1, s"vx must be >= 1, got $vx")
+  require(k >= 1, s"k must be >= 1, got $k")
+  require(zCol != xCol, s"zCol and xCol must differ, both are $zCol")
+  target match {
+    case TargetSpec.Explicit(vec) =>
+      require(vec.length == vx, s"explicit target has ${vec.length} bins, expected vx=$vx")
+    case TargetSpec.FromCandidate(z) =>
+      require(z >= 0 && z < vz, s"target candidate $z out of [0, $vz)")
+    case TargetSpec.ClosestToUniform =>
+  }
+}
 
 /** The paper's evaluation workload (Section 5.1, Tables 2 and 3), rebuilt
   * synthetically.

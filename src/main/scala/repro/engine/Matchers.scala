@@ -199,57 +199,67 @@ object Matchers {
     java.util.Arrays.copyOf(blocks, n)
   }
 
-  /** Takes in the blocks a run reads: adds their counts to the state and
-    * the cost, marks candidates exact once every block holding them is
-    * read, and lists each candidate touched since the last statistics
-    * iteration once. Allocates nothing per block or tuple.
+  /** Takes in the blocks a run reads: adds their counts to the state's
+    * `counts` and `n` and to the cost, marks candidates exact once every
+    * block holding them is read, and lists each candidate touched since
+    * the last statistics iteration once. Allocates nothing per block or
+    * tuple, and assumes no order of a block's triples.
     */
   private final class Sink(state: HistSimState, cost: Cost, index: BitmapIndex, numBlocks: Int)
       extends BlockVisitor {
     private val vz = state.nCandidates
+    private val counts = state.counts
+    private val n = state.n
+    private val exact = state.exact
     val readSet = new java.util.BitSet(numBlocks)
     var readCount = 0
+    // tuples read since the last statistics iteration, not yet in `cost`
+    private var tuples = 0L
 
     // Sampling without replacement: once every block containing candidate
     // z has been read, z's histogram is exact and its deviation is 0.
-    private val blockTotal = Array.tabulate(vz)(index.blockCount)
-    private val blocksSeen = new Array[Int](vz)
-    // stamp-based per-block distinct-z tracking
-    private val blockStamp = new Array[Int](vz)
-    private var blockEpoch = 0
-    // stamp-based per-round dirty-tau tracking
-    private val dirtyStamp = new Array[Int](vz)
-    private var roundEpoch = 1
+    private val blocksLeft = Array.tabulate(vz)(index.blockCount)
+    // lastBlock(z): the number (1, 2, ...) of the last block read that held
+    // z. z is new to the current block iff lastBlock(z) != blockNo, and new
+    // to the current round iff lastBlock(z) <= roundStart.
+    private val lastBlock = new Array[Int](vz)
+    private var blockNo = 0
+    private var roundStart = 0
     private val dirty = new Array[Int](vz)
     private var dirtyLen = 0
 
-    { var z = 0; while (z < vz) { if (blockTotal(z) == 0) state.markExact(z); z += 1 } }
+    { var z = 0; while (z < vz) { if (blocksLeft(z) == 0) exact(z) = true; z += 1 } }
 
     override def startBlock(b: Int): Unit = {
       readSet.set(b); readCount += 1
       cost.blocksRead += 1
-      blockEpoch += 1
+      blockNo += 1
     }
 
     override def triple(z: Int, x: Int, c: Int): Unit = {
-      state.add(z, x, c)
-      cost.tuplesRead += c
-      if (blockStamp(z) != blockEpoch) {
-        blockStamp(z) = blockEpoch
-        blocksSeen(z) += 1
-        if (blocksSeen(z) == blockTotal(z)) state.markExact(z)
-      }
-      if (dirtyStamp(z) != roundEpoch) {
-        dirtyStamp(z) = roundEpoch
-        dirty(dirtyLen) = z; dirtyLen += 1
+      if (c < 0) negative(z, x, c)
+      counts(z)(x) += c
+      n(z) += c
+      tuples += c
+      val last = lastBlock(z)
+      if (last != blockNo) {
+        lastBlock(z) = blockNo
+        if (last <= roundStart) { dirty(dirtyLen) = z; dirtyLen += 1 }
+        blocksLeft(z) -= 1
+        if (blocksLeft(z) == 0) exact(z) = true
       }
     }
 
-    /** Refreshes tau of the candidates touched since the last call. */
-    def refreshTau(): Unit =
-      if (dirtyLen > 0) {
-        state.refreshTau(dirty, dirtyLen)
-        dirtyLen = 0; roundEpoch += 1
-      }
+    private def negative(z: Int, x: Int, c: Int): Nothing =
+      throw new IllegalArgumentException(s"negative count $c for candidate $z, group $x")
+
+    /** Adds the tuples read to the cost and refreshes tau of the
+      * candidates touched since the last call.
+      */
+    def refreshTau(): Unit = {
+      cost.tuplesRead += tuples; tuples = 0
+      if (dirtyLen > 0) { state.refreshTau(dirty, dirtyLen); dirtyLen = 0 }
+      roundStart = blockNo
+    }
   }
 }

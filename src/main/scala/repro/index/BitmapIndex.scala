@@ -12,24 +12,67 @@ import repro.Checked.asInt
   * AnyActive block-selection policy. One bit per *block* (not per tuple),
   * as in the paper.
   *
-  * Probes are counted by the caller-provided [[ProbeCounter]] so the cost
-  * model can distinguish cache-cold (per-block, SyncMatch) from
-  * cache-warm (lookahead-chunked, FastMatch) access patterns.
+  * Each bitmap is stored once, as ⌈numBlocks/64⌉ 64-bit words (bit p in
+  * word p / 64 at position p % 64), so that a lookahead pass tests 64
+  * blocks with one AND. Bitmaps are immutable after construction:
+  * [[blockCount]] is computed once, when the index is built, and
+  * [[bitmaps]] returns copies.
   */
-final class BitmapIndex(val bitmaps: Array[BitSet], val numBlocks: Int) {
-  val nCandidates: Int = bitmaps.length
+final class BitmapIndex private (val numBlocks: Int, bits: Array[Array[Long]]) {
+
+  /** From one `BitSet` per candidate; a bit at or beyond `numBlocks` is
+    * rejected.
+    */
+  def this(bitmaps: Array[BitSet], numBlocks: Int) =
+    this(numBlocks, bitmaps.map(BitmapIndex.words(_, numBlocks)))
+
+  val nCandidates: Int = bits.length
+
+  private val blockCounts: Array[Int] = bits.map { w =>
+    var c = 0; var i = 0
+    while (i < w.length) { c += java.lang.Long.bitCount(w(i)); i += 1 }
+    c
+  }
 
   /** Does block `b` contain any tuple of candidate `z`? */
-  def contains(z: Int, b: Int): Boolean = bitmaps(z).get(b)
+  def contains(z: Int, b: Int): Boolean = (bits(z)(b >>> 6) & (1L << b)) != 0
 
   /** Number of distinct blocks containing candidate z — the candidate's
     * total population of blocks, used to detect exhaustion (sampling
     * without replacement).
     */
-  def blockCount(z: Int): Int = bitmaps(z).cardinality()
+  def blockCount(z: Int): Int = blockCounts(z)
+
+  /** Candidate z's bitmap words, ⌈numBlocks/64⌉ of them, with no bit at
+    * or beyond `numBlocks`. The index's own array: callers must not write
+    * to it.
+    */
+  private[repro] def words(z: Int): Array[Long] = bits(z)
+
+  /** Each candidate's bitmap as a new `BitSet`. */
+  def bitmaps: Array[BitSet] = bits.map(w => BitSet.valueOf(w))
 }
 
 object BitmapIndex {
+
+  private def nWords(numBlocks: Int): Int = (numBlocks + 63) >>> 6
+
+  private def words(bits: BitSet, numBlocks: Int): Array[Long] = {
+    require(bits.length <= numBlocks, s"bitmap sets block ${bits.length - 1}, beyond $numBlocks blocks")
+    java.util.Arrays.copyOf(bits.toLongArray, nWords(numBlocks))
+  }
+
+  /** Empty bitmaps for `vz` candidates, set through [[set]]. */
+  private def empty(vz: Int, numBlocks: Int): Array[Array[Long]] = {
+    require(numBlocks >= 0, s"negative block count $numBlocks")
+    Array.fill(vz)(new Array[Long](nWords(numBlocks)))
+  }
+
+  private def set(words: Array[Array[Long]], z: Int, b: Int, numBlocks: Int): Unit = {
+    require(z >= 0 && z < words.length, s"candidate value $z out of [0, ${words.length})")
+    require(b >= 0 && b < numBlocks, s"block id $b out of [0, $numBlocks)")
+    words(z)(b >>> 6) |= 1L << b
+  }
 
   /** Build from a DataFrame via aggregation: one `collect_set(block)` per
     * candidate value. This is the "index construction" pass — in the
@@ -40,21 +83,20 @@ object BitmapIndex {
       .groupBy(col(zCol))
       .agg(collect_set(col(blockCol)).as("blocks"))
       .collect()
-    val bitmaps = Array.fill(vz)(new BitSet(numBlocks))
+    val words = empty(vz, numBlocks)
     rows.foreach { r =>
       val z = asInt(r.get(0))
-      require(z >= 0 && z < vz, s"candidate value $z out of [0, $vz)")
-      r.getSeq[Any](1).foreach(b => bitmaps(z).set(asInt(b)))
+      r.getSeq[Any](1).foreach(b => set(words, z, asInt(b), numBlocks))
     }
-    new BitmapIndex(bitmaps, numBlocks)
+    new BitmapIndex(numBlocks, words)
   }
 
   /** Build from driver-side per-block counts (used when counts were
     * already prefetched; must agree with [[build]] — tested).
     */
   def fromBlockTriples(triples: Iterator[(Int, Int, Int)], vz: Int, numBlocks: Int): BitmapIndex = {
-    val bitmaps = Array.fill(vz)(new BitSet(numBlocks))
-    triples.foreach { case (block, z, _) => bitmaps(z).set(block) }
-    new BitmapIndex(bitmaps, numBlocks)
+    val words = empty(vz, numBlocks)
+    triples.foreach { case (block, z, _) => set(words, z, block, numBlocks) }
+    new BitmapIndex(numBlocks, words)
   }
 }

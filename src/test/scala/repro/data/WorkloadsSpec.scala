@@ -150,4 +150,20 @@ class WorkloadsSpec extends SparkSpec {
     assert(Workloads.dataset(spark, "TAXI", sf).name == "TAXI")
     intercept[IllegalArgumentException](Workloads.dataset(spark, "NOPE", sf))
   }
+
+  test("QuerySpec rejects bad input where it is built") {
+    import TargetSpec._
+    def q(zCol: String = "z", xCol: String = "x", vz: Int = 4, vx: Int = 3, k: Int = 2,
+          target: TargetSpec = ClosestToUniform) =
+      QuerySpec("TOY", "q", zCol, xCol, vz, vx, k, target, 0.0, Map.empty)
+    q(); q(target = Explicit(Array(0.2, 0.3, 0.5))); q(target = FromCandidate(3)) // valid
+    q(k = 9) // k >= vz is allowed
+    intercept[IllegalArgumentException](q(vz = 0))
+    intercept[IllegalArgumentException](q(vx = 0))
+    intercept[IllegalArgumentException](q(k = 0))
+    intercept[IllegalArgumentException](q(xCol = "z"))
+    intercept[IllegalArgumentException](q(target = Explicit(Array(0.5, 0.5))))
+    intercept[IllegalArgumentException](q(target = FromCandidate(4)))
+    intercept[IllegalArgumentException](q(target = FromCandidate(-1)))
+  }
 }

@@ -221,20 +221,19 @@ class MatchersSpec extends AnyFunSuite {
     PrefetchedCounts.fromTriples(reader.numBlocks, rows.map(_._1).toArray, rows.map(_._2).toArray, rows.map(_._3).toArray)
   }
 
-  test("a reader with only read (default visit) gives the same RunResult as PrefetchedCounts") {
-    val (toy, index, truth, b) = standardSetup()
-    val pc = prefetch(toy)
-    val readOnly = new BlockReader {
-      override def numBlocks: Int = pc.numBlocks
-      override def read(blocks: Array[Int]): Array[Array[(Int, Int, Int)]] = pc.read(blocks)
-    }
+  /** Runs every approach on `reader` and on `pc` (the same store) from
+    * several starts and for two tasks, and asserts field-identical
+    * `RunResult`s.
+    */
+  private def assertSameRuns(reader: BlockReader, pc: PrefetchedCounts, index: BitmapIndex,
+                             truth: Truth): Unit = {
     def costs(r: RunResult) = Seq(r.cost.tuplesRead, r.cost.blocksRead, r.cost.blocksConsidered,
       r.cost.probesCold, r.cost.probesWarm, r.cost.lineMisses, r.cost.statsIters)
     def same(x: Double, y: Double) = java.lang.Double.compare(x, y) == 0
     for ((t, i) <- Seq(task(truth), task(truth, eps = 0.12, delta = 0.01)).zipWithIndex;
-         app <- Approach.all; start <- Seq(0, 17, 101, b - 1)) {
+         app <- Approach.all; start <- Seq(0, 17, 101, pc.numBlocks - 1)) {
       val what = s"task $i $app start=$start"
-      val got = Matchers.run(app, t, readOnly, index, start)
+      val got = Matchers.run(app, t, reader, index, start)
       val want = Matchers.run(app, t, pc, index, start)
       assert(got.approach == want.approach, what)
       assert(got.matching.sameElements(want.matching), what)
@@ -244,6 +243,56 @@ class MatchersSpec extends AnyFunSuite {
       assert(got.rounds == want.rounds, what)
       assert(costs(got) == costs(want), what)
       assert(same(got.simTime, want.simTime), what)
+    }
+  }
+
+  test("a reader with only read (default visit) gives the same RunResult as PrefetchedCounts") {
+    val (toy, index, truth, _) = standardSetup()
+    val pc = prefetch(toy)
+    val readOnly = new BlockReader {
+      override def numBlocks: Int = pc.numBlocks
+      override def read(blocks: Array[Int]): Array[Array[(Int, Int, Int)]] = pc.read(blocks)
+    }
+    assertSameRuns(readOnly, pc, index, truth)
+  }
+
+  test("a reader whose rows are shuffled and split within a block gives the same RunResult") {
+    // rows not sorted by (z, x), and one (z, x) in two rows, as a Spark
+    // aggregation may return them
+    val (toy, index, truth, _) = standardSetup()
+    val pc = prefetch(toy)
+    val unordered = new BlockReader {
+      override def numBlocks: Int = pc.numBlocks
+      override def read(blocks: Array[Int]): Array[Array[(Int, Int, Int)]] =
+        pc.read(blocks).zip(blocks).map { case (rows, b) =>
+          val split = rows.indexWhere(_._3 >= 2) match {
+            case -1 => rows
+            case i =>
+              val (z, x, c) = rows(i)
+              rows.updated(i, (z, x, c / 2)) :+ ((z, x, c - c / 2))
+          }
+          val rng = new scala.util.Random(b)
+          rng.shuffle(split.toSeq).toArray
+        }
+    }
+    val all = unordered.read(Array.range(0, pc.numBlocks))
+    assert(all.exists(rows => rows.map(r => (r._1, r._2)).distinct.length < rows.length),
+      "no block has a split row")
+    assert(all.exists(rows => !rows.map(r => (r._1, r._2)).sameElements(rows.map(r => (r._1, r._2)).sorted)),
+      "no block has unsorted rows")
+    assertSameRuns(unordered, pc, index, truth)
+  }
+
+  test("a reader yielding a negative count fails, naming the count") {
+    val (toy, index, truth, _) = standardSetup()
+    val bad = new BlockReader {
+      override def numBlocks: Int = toy.numBlocks
+      override def read(blocks: Array[Int]): Array[Array[(Int, Int, Int)]] =
+        toy.read(blocks).map(rows => rows :+ ((0, 0, -3)))
+    }
+    for (app <- Approach.all) {
+      val e = intercept[IllegalArgumentException](Matchers.run(app, task(truth), bad, index, 0))
+      assert(e.getMessage.contains("-3"), s"$app: ${e.getMessage}")
     }
   }
 

@@ -104,4 +104,79 @@ class PoliciesSpec extends AnyFunSuite {
     Policies.lookaheadAnyActive(idx, active, Array.range(0, 8), cLook)
     assert(cSync.coldProbeUnits(params) > cLook.warmProbeUnits(params))
   }
+
+  /** Algorithm 3 probing bit by bit, as the paper states it: the
+    * reference the word-parallel [[Policies.lookaheadAnyActive]] must
+    * match in marks and counters.
+    */
+  private def bitProbingLookahead(index: BitmapIndex, active: Array[Boolean], blocks: Array[Int],
+                                  cost: Cost): Array[Boolean] = {
+    val mark = new Array[Boolean](blocks.length)
+    var remaining = blocks.length
+    var z = 0
+    while (z < active.length && remaining > 0) {
+      if (active(z)) {
+        cost.lineMisses += 1
+        var i = 0
+        var probedThisCand = 0L
+        while (i < blocks.length && remaining > 0) {
+          if (!mark(i)) {
+            probedThisCand += 1
+            if (index.contains(z, blocks(i))) { mark(i) = true; remaining -= 1 }
+          }
+          i += 1
+        }
+        cost.probesWarm += math.max(0L, probedThisCand - 1)
+      }
+      z += 1
+    }
+    mark
+  }
+
+  test("word-parallel lookahead matches bit-probing Algorithm 3 in marks and counters") {
+    val rng = new java.util.Random(11)
+    var wrapped = 0; var gapped = 0
+    for (trial <- 0 until 600) {
+      val numBlocks = Seq(1, 5, 63, 64, 65, 127, 130, 700, 1000)(rng.nextInt(9))
+      val vz = 1 + rng.nextInt(30)
+      val density = Seq(0.0, 0.002, 0.02, 0.2, 0.9)(rng.nextInt(5))
+      val bitmaps = Array.fill(vz)(new BitSet(numBlocks))
+      for (z <- 0 until vz; b <- 0 until numBlocks if rng.nextDouble() < density) bitmaps(z).set(b)
+      val idx = new BitmapIndex(bitmaps, numBlocks)
+      val active = trial % 4 match {
+        case 0 => Array.fill(vz)(false)
+        case 1 => Array.fill(vz)(true)
+        case 2 => Array.fill(vz)(rng.nextDouble() < 0.1)
+        case _ => Array.fill(vz)(rng.nextBoolean())
+      }
+      // a chunk as the matcher collects it: up to 512 unread blocks in
+      // circular order from a start block, skipping blocks already read
+      val read = Array.fill(numBlocks)(rng.nextDouble() < Seq(0.0, 0.3, 0.9)(rng.nextInt(3)))
+      val start = rng.nextInt(numBlocks)
+      val chunk = (0 until numBlocks).map(i => (start + i) % numBlocks).filterNot(read(_))
+        .take(1 + rng.nextInt(512)).toArray
+      if (chunk.length > 1 && chunk.last < chunk.head) wrapped += 1
+      if (chunk.length > 1 && chunk.last - chunk.head >= chunk.length) gapped += 1
+      val got = new Cost; val want = new Cost
+      val marks = Policies.lookaheadAnyActive(idx, active, chunk, got)
+      val expected = bitProbingLookahead(idx, active, chunk, want)
+      val what = s"trial $trial: numBlocks=$numBlocks vz=$vz chunk=${chunk.length}"
+      assert(marks.sameElements(expected), what)
+      assert(got.probesWarm == want.probesWarm, what)
+      assert(got.lineMisses == want.lineMisses, what)
+      assert(got.probesCold == 0, what)
+    }
+    assert(wrapped > 50 && gapped > 50, s"wrapped=$wrapped gapped=$gapped")
+  }
+
+  test("word-parallel lookahead counts a block listed twice as two probes, like Algorithm 3") {
+    val idx = toyIndex
+    val blocks = Array(3, 4, 3, 7, 4, 0)
+    for (active <- Seq(Array(true, true, false, false), Array(false, false, false, true))) {
+      val got = new Cost; val want = new Cost
+      val marks = Policies.lookaheadAnyActive(idx, active, blocks, got)
+      assert(marks.sameElements(bitProbingLookahead(idx, active, blocks, want)))
+      assert(got.probesWarm == want.probesWarm && got.lineMisses == want.lineMisses)
+    }
+  }
 }
