@@ -20,7 +20,7 @@ object MatchJob {
     val qName = args.lift(1).getOrElse("q1")
     val sf = args.lift(2).map(_.toDouble).getOrElse(0.1)
     val start = args.lift(3).map(_.toInt).getOrElse(0)
-    val spark = SparkSession.builder.appName("repro-match")
+    val spark = SparkSession.builder().appName("repro-match")
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]")).getOrCreate()
     try {
       val q = Workloads.queries.find(q => q.dataset == dsName && q.name == qName)

@@ -10,7 +10,7 @@ import repro.data.Workloads
 object Table2Job {
   def main(args: Array[String]): Unit = {
     val sf = args.headOption.map(_.toDouble).getOrElse(1.0)
-    val spark = SparkSession.builder.appName("repro-table2")
+    val spark = SparkSession.builder().appName("repro-table2")
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]")).getOrCreate()
     try {
       println(f"${"Dataset"}%-9s ${"#Tuples"}%12s ${"#Attributes"}%12s ${"#Blocks"}%10s")

@@ -13,7 +13,7 @@ import repro.engine.GroundTruth
 object Table3Job {
   def main(args: Array[String]): Unit = {
     val sf = args.headOption.map(_.toDouble).getOrElse(0.2)
-    val spark = SparkSession.builder.appName("repro-table3")
+    val spark = SparkSession.builder().appName("repro-table3")
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]")).getOrCreate()
     try {
       val datasets = Workloads.queries.map(_.dataset).distinct

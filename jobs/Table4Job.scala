@@ -15,7 +15,7 @@ object Table4Job {
     val which = args.headOption.getOrElse("ALL")
     val sf = args.lift(1).map(_.toDouble).getOrElse(1.0)
     val runs = args.lift(2).map(_.toInt).getOrElse(3)
-    val spark = SparkSession.builder.appName("repro-table4")
+    val spark = SparkSession.builder().appName("repro-table4")
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]")).getOrCreate()
     try {
       val queries = Workloads.queries.filter(q => which == "ALL" || q.dataset == which)

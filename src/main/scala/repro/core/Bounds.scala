@@ -79,15 +79,4 @@ object Bounds {
     val c = math.sqrt(vx.toDouble) + math.sqrt(2.0 * math.log(1.0 / delta))
     math.ceil(c * c / (eps * eps)).toLong
   }
-
-  /** Appendix A.1.3: with multiple grouping attributes X^(1)..X^(n), the
-    * support is estimated as the product of the cardinalities. This may
-    * overestimate (if some value combinations never co-occur) which only
-    * loosens Theorem 1 — correctness is unaffected. Saturates at
-    * Int.MaxValue rather than overflowing.
-    */
-  def productSupport(cards: Seq[Int]): Int = {
-    require(cards.nonEmpty && cards.forall(_ >= 1), s"bad cardinalities $cards")
-    cards.foldLeft(1L)((acc, c) => math.min(acc * c, Int.MaxValue.toLong)).toInt
-  }
 }

@@ -45,21 +45,10 @@ object Deviations {
   /** Run one iteration. `state.tau` must be fresh for all candidates whose
     * counts changed since the last call.
     */
-  def iterate(state: HistSimState, k: Int, eps: Double, delta: Double): Iteration =
-    iterate(state, k, eps, eps, delta)
-
-  /** Appendix A.2.1 generalization: distinct tolerances for the two
-    * guarantees — `epsSep` for separation (Guarantee 1, the split-point
-    * fences) and `epsRec` for reconstruction (Guarantee 2, the cap on
-    * matching candidates' deviations). The paper's default is
-    * epsSep = epsRec = eps.
-    */
-  def iterate(state: HistSimState, k: Int, epsSep: Double, epsRec: Double,
-              delta: Double): Iteration = {
+  def iterate(state: HistSimState, k: Int, eps: Double, delta: Double): Iteration = {
     val nz = state.nCandidates
     require(k >= 1, s"k must be >= 1, got $k")
-    require(epsSep > 0 && epsRec > 0 && delta > 0 && delta < 1,
-      s"bad (epsSep=$epsSep, epsRec=$epsRec, delta=$delta)")
+    require(eps > 0 && delta > 0 && delta < 1, s"bad (eps=$eps, delta=$delta)")
 
     val kk = math.min(k, nz)
     val order = smallest(state.tau, math.min(kk + 1, nz))
@@ -77,16 +66,16 @@ object Deviations {
     var m = 0
     while (m < kk) { inM(matching(m)) = true; m += 1 }
 
-    val lowerFence = if (splitPoint.isNaN) 0.0 else math.max(splitPoint - epsSep / 2.0, 0.0)
+    val lowerFence = if (splitPoint.isNaN) 0.0 else math.max(splitPoint - eps / 2.0, 0.0)
     var i = 0
     while (i < nz) {
       epsOut(i) =
         if (inM(i)) {
-          // Constraint 2 (reconstruction) caps at epsRec; constraint 1
-          // caps at s + epsSep/2 - tau_i. With no split (all candidates
+          // Constraint 2 (reconstruction) caps at eps; constraint 1
+          // caps at s + eps/2 - tau_i. With no split (all candidates
           // in M) only the reconstruction cap applies.
-          if (splitPoint.isNaN) epsRec
-          else math.min(epsRec, splitPoint + epsSep / 2.0 - state.tau(i))
+          if (splitPoint.isNaN) eps
+          else math.min(eps, splitPoint + eps / 2.0 - state.tau(i))
         } else {
           math.max(0.0, state.tau(i) - lowerFence)
         }
@@ -134,27 +123,5 @@ object Deviations {
       i += 1
     }
     out
-  }
-
-  /** Appendix A.2.3: when the analyst accepts any k in [k1, k2], pick the
-    * k whose boundary has the largest distance gap between the k-th and
-    * (k+1)-th closest candidates — separation is then easiest to certify
-    * and deltaUpper shrinks soonest.
-    */
-  def chooseK(state: HistSimState, k1: Int, k2: Int): Int = {
-    val nz = state.nCandidates
-    require(k1 >= 1 && k2 >= k1, s"bad range [$k1, $k2]")
-    val hi = math.min(k2, nz)
-    if (k1 >= nz) return nz
-    val sorted = state.tau.sorted
-    var bestK = k1
-    var bestGap = Double.NegativeInfinity
-    var k = k1
-    while (k <= hi) {
-      val gap = if (k >= nz) Double.PositiveInfinity else sorted(k) - sorted(k - 1)
-      if (gap > bestGap) { bestGap = gap; bestK = k }
-      k += 1
-    }
-    bestK
   }
 }

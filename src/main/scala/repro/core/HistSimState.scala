@@ -60,9 +60,4 @@ final class HistSimState(val nCandidates: Int, val target: Array[Double]) {
   }
 
   def markExact(z: Int): Unit = exact(z) = true
-
-  def totalSamples: Long = n.sum
-
-  /** Normalized empirical histogram of candidate z. */
-  def distribution(z: Int): Array[Double] = Hist.normalize(counts(z))
 }

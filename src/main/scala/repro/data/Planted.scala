@@ -36,46 +36,4 @@ object Planted {
     def bump(mu: Double)(i: Int) = math.exp(-math.pow(i - mu, 2) / (2 * sigma * sigma))
     Hist.normalize(Array.tabulate(vx)(i => bump(mu1)(i) + bump(mu2)(i) + 0.02))
   }
-
-  /** Random distribution from a symmetric Dirichlet-like draw (Gamma(alpha)
-    * components, normalized). Deterministic in the provided RNG.
-    */
-  def dirichlet(vx: Int, alpha: Double, rng: java.util.Random): Array[Double] = {
-    require(vx >= 1 && alpha > 0)
-    Hist.normalize(Array.fill(vx)(gammaDraw(alpha, rng) + 1e-9))
-  }
-
-  /** Perturb `base` by a random signed bump of l1 magnitude ~`mag`, then
-    * renormalize. Produces candidates clustered around `base` at spread
-    * distances without the exact linearity of [[mix]].
-    */
-  def jitter(base: Array[Double], mag: Double, rng: java.util.Random): Array[Double] = {
-    val vx = base.length
-    val noise = Array.fill(vx)(rng.nextDouble() - 0.5)
-    val mean = noise.sum / vx
-    val centered = noise.map(_ - mean)
-    val l1 = centered.map(math.abs).sum
-    val out = Array.tabulate(vx)(i => math.max(1e-9, base(i) + centered(i) * mag / math.max(l1, 1e-12)))
-    Hist.normalize(out)
-  }
-
-  // Marsaglia-Tsang for alpha >= 1; boost trick below 1.
-  private def gammaDraw(alpha: Double, rng: java.util.Random): Double = {
-    if (alpha < 1.0) {
-      val u = rng.nextDouble()
-      gammaDraw(alpha + 1.0, rng) * math.pow(u, 1.0 / alpha)
-    } else {
-      val d = alpha - 1.0 / 3.0
-      val c = 1.0 / math.sqrt(9.0 * d)
-      while (true) {
-        var x = 0.0; var v = 0.0
-        do { x = rng.nextGaussian(); v = 1.0 + c * x } while (v <= 0)
-        v = v * v * v
-        val u = rng.nextDouble()
-        if (u < 1 - 0.0331 * x * x * x * x) return d * v
-        if (math.log(u) < 0.5 * x * x + d * (1 - v + math.log(v))) return d * v
-      }
-      0.0 // unreachable
-    }
-  }
 }

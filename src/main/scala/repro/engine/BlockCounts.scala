@@ -64,7 +64,7 @@ final class SparkRoundReader(df: DataFrame, zCol: String, xCol: String,
   override def read(blocks: Array[Int]): Array[Array[(Int, Int, Int)]] = {
     if (blocks.isEmpty) return Array.empty
     val rows = df
-      .filter(col(blockCol).isin(blocks.map(Integer.valueOf): _*))
+      .filter(col(blockCol).isin(blocks.toIndexedSeq.map(Integer.valueOf): _*))
       .groupBy(col(blockCol).as("b"), col(zCol).as("z"), col(xCol).as("x"))
       .agg(count(lit(1)).as("c"))
       .collect()

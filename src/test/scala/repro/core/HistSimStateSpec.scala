@@ -10,7 +10,7 @@ class HistSimStateSpec extends AnyFunSuite {
   test("initial state: zero samples, tau = distance of empty histogram") {
     val s = mkState()
     assert(s.n.forall(_ == 0L))
-    assert(s.totalSamples == 0L)
+    assert(s.n.sum == 0L)
     // empty histogram normalizes to zero vector; l1 from a distribution = 1
     assert(s.tau.forall(t => math.abs(t - 1.0) < 1e-12))
     assert(s.exact.forall(!_))
@@ -21,7 +21,7 @@ class HistSimStateSpec extends AnyFunSuite {
     s.add(1, 0, 5); s.add(1, 2, 3); s.add(2, 1, 7)
     assert(s.n(1) == 8 && s.n(2) == 7 && s.n(0) == 0)
     assert(s.counts(1).sameElements(Array(5L, 0L, 3L)))
-    assert(s.totalSamples == 15)
+    assert(s.n.sum == 15)
   }
 
   test("add rejects negative counts") {
@@ -62,12 +62,6 @@ class HistSimStateSpec extends AnyFunSuite {
     s.add(0, 0, 5000); s.add(0, 1, 3000); s.add(0, 2, 2000)
     s.refreshTau(Seq(0))
     assert(s.tau(0) < 1e-12)
-  }
-
-  test("distribution returns the normalized empirical histogram") {
-    val s = mkState()
-    s.add(3, 0, 1); s.add(3, 1, 1); s.add(3, 2, 2)
-    assert(s.distribution(3).sameElements(Array(0.25, 0.25, 0.5)))
   }
 
   test("markExact flags a candidate") {

@@ -2,7 +2,6 @@ package repro.data
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.core.Hist
 
 class GenSpec extends SparkSpec {
 

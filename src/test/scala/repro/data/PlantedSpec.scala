@@ -53,28 +53,4 @@ class PlantedSpec extends AnyFunSuite {
     val h1 = Planted.bimodal(24, 2, 4, sigma = 1.5)
     assert(Hist.l1(h0, h1) > 1.0)
   }
-
-  test("dirichlet draws are distributions and deterministic in the rng") {
-    val a = Planted.dirichlet(6, 1.0, new java.util.Random(9))
-    val b = Planted.dirichlet(6, 1.0, new java.util.Random(9))
-    assert(isDistribution(a))
-    assert(a.sameElements(b))
-  }
-
-  test("dirichlet with small alpha is spikier than with large alpha") {
-    def maxOver(alpha: Double): Double =
-      (1 to 30).map(s => Planted.dirichlet(10, alpha, new java.util.Random(s)).max).sum / 30
-    assert(maxOver(0.2) > maxOver(50.0))
-  }
-
-  test("jitter stays a distribution at approximately the requested distance") {
-    val base = Hist.uniform(12)
-    val rng = new java.util.Random(5)
-    for (mag <- Seq(0.05, 0.2, 0.5)) {
-      val p = Planted.jitter(base, mag, rng)
-      assert(isDistribution(p))
-      val d = Hist.l1(p, base)
-      assert(d > 0.0 && d <= mag + 1e-9, s"mag=$mag got d=$d")
-    }
-  }
 }

@@ -66,6 +66,19 @@ class MatchersSpec extends AnyFunSuite {
     toyStore(freq, dists, tuplesPerBlock = 32, seed = seed)
   }
 
+  /** 8 candidates whose true top-2 (0, 1, near uniform) are the rarest:
+    * 300 tuples each against 3000 for the far rest, so a uniform sample
+    * sees the top-k ten times less often than the bulk.
+    */
+  private def skewedSetup() = {
+    val vx = 6
+    val dists = Array.tabulate(8) { z =>
+      if (z < 2) Hist.normalize(Array.tabulate(vx)(x => 1.0 + (if (x == z) 0.05 else 0.0)))
+      else Hist.normalize(Array.tabulate(vx)(x => if (x == z % vx) (0.5 + 0.5 * z) * vx else 1.0))
+    }
+    toyStore(Array.tabulate(8)(z => if (z < 2) 300 else 3000), dists, tuplesPerBlock = 32, seed = 5)
+  }
+
   private def task(truth: Truth, eps: Double = 0.25, delta: Double = 0.05) =
     MatchTask(truth.hists.length, truth.target.length, 2, eps, delta, truth.target)
 
@@ -81,22 +94,24 @@ class MatchersSpec extends AnyFunSuite {
   }
 
   test("every approximate approach satisfies both guarantees") {
-    val (reader, index, truth, _) = standardSetup()
-    val t = task(truth)
-    for (app <- Approach.all; start <- Seq(0, 17, 101)) {
-      val res = Matchers.run(app, t, reader, index, start)
-      assert(Metrics.separationHolds(res.matching, truth, t.eps), s"$app separation")
-      assert(Metrics.reconstructionHolds(res.matching, res.counts, truth, t.eps),
-        s"$app reconstruction")
+    for ((store, (reader, index, truth, _)) <- Seq("standard" -> standardSetup(), "skewed" -> skewedSetup())) {
+      val t = task(truth)
+      for (app <- Approach.all; start <- Seq(0, 17, 101)) {
+        val res = Matchers.run(app, t, reader, index, start)
+        assert(Metrics.separationHolds(res.matching, truth, t.eps), s"$store $app separation")
+        assert(Metrics.reconstructionHolds(res.matching, res.counts, truth, t.eps),
+          s"$store $app reconstruction")
+      }
     }
   }
 
   test("sum-criterion approaches terminate with deltaUpper <= delta") {
-    val (reader, index, truth, _) = standardSetup()
-    val t = task(truth)
-    for (app <- Seq(Approach.ScanMatch, Approach.SyncMatch, Approach.FastMatch)) {
-      val res = Matchers.run(app, t, reader, index, 0)
-      assert(res.deltaUpper <= t.delta, s"$app deltaUpper=${res.deltaUpper}")
+    for ((store, (reader, index, truth, _)) <- Seq("standard" -> standardSetup(), "skewed" -> skewedSetup())) {
+      val t = task(truth)
+      for (app <- Seq(Approach.ScanMatch, Approach.SyncMatch, Approach.FastMatch)) {
+        val res = Matchers.run(app, t, reader, index, 0)
+        assert(res.deltaUpper <= t.delta, s"$store $app deltaUpper=${res.deltaUpper}")
+      }
     }
   }
 
