@@ -1,61 +1,17 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import scala.collection.mutable.ArrayBuffer
+import repro.engine.{Approach, BlockReader, MatchTask, Matchers, RunResult, ToyStore}
+import repro.index.BitmapIndex
 
-/** End-to-end tests of the abstract Algorithm 1 loop against in-memory
-  * multinomial populations with known ground truth.
+/** End-to-end tests of the Algorithm 1 loop (`Matchers.run`) against
+  * in-memory populations drawn from known distributions, checked against
+  * those generating distributions rather than the store's exact counts.
   */
 class HistSimLoopSpec extends AnyFunSuite {
 
-  /** Infinite-population sampler: each round draws `roundSize` tuples,
-    * candidates chosen by `weights`, groups by the candidate's true
-    * distribution. Optionally restricts draws to active candidates.
-    */
-  private final class MultinomialSampler(
-      dists: Array[Array[Double]],
-      weights: Array[Double],
-      roundSize: Int,
-      seed: Long,
-      onlyActive: Boolean = false,
-  ) extends Sampler {
-    private val rng = new java.util.Random(seed)
-    private val wCdf = cdf(weights)
-    private val xCdfs = dists.map(cdf)
-    var totalDrawn = 0L
-
-    private def cdf(w: Array[Double]): Array[Double] = {
-      val t = w.sum; val out = new Array[Double](w.length)
-      var acc = 0.0
-      for (i <- w.indices) { acc += w(i) / t; out(i) = acc }
-      out(w.length - 1) = 1.0; out
-    }
-    private def draw(c: Array[Double]): Int = {
-      val u = rng.nextDouble(); var i = 0
-      while (c(i) < u) i += 1
-      i
-    }
-
-    override def nextRound(active: Array[Boolean]): Array[(Int, Int, Int)] = {
-      val buf = new ArrayBuffer[(Int, Int, Int)]
-      var drawn = 0
-      var attempts = 0
-      while (drawn < roundSize && attempts < roundSize * 50) {
-        val z = draw(wCdf)
-        attempts += 1
-        if (!onlyActive || active(z)) {
-          buf += ((z, draw(xCdfs(z)), 1))
-          drawn += 1
-        }
-      }
-      totalDrawn += drawn
-      buf.toArray
-    }
-    override def exhausted(): Set[Int] = Set.empty
-  }
-
-  /** A toy population: candidates 0 and 1 close to the target, the rest
-    * progressively far.
+  /** A toy population: candidates 0 and 1 close to the uniform target, the
+    * rest progressively far.
     */
   private def toyDists(vz: Int, vx: Int): (Array[Double], Array[Array[Double]]) = {
     val target = Hist.uniform(vx)
@@ -69,104 +25,84 @@ class HistSimLoopSpec extends AnyFunSuite {
     (target, dists)
   }
 
+  /** Runs `app` on a store of 3000 tuples per candidate drawn from `dists`. */
+  private def runToy(app: Approach, target: Array[Double], dists: Array[Array[Double]],
+                     eps: Double, delta: Double, seed: Long): RunResult = {
+    val (reader, index, _, _) = ToyStore(Array.fill(dists.length)(3000), dists, tuplesPerBlock = 32, seed)
+    Matchers.run(app, MatchTask(dists.length, target.length, 2, eps, delta, target), reader, index, 0)
+  }
+
+  private val approximate = Approach.all.filter(_ != Approach.Scan)
+
   test("HistSim finds the true top-2 on a well-separated population") {
     val (target, dists) = toyDists(vz = 8, vx = 6)
-    val sampler = new MultinomialSampler(dists, Array.fill(8)(1.0), 500, seed = 1)
-    val res = HistSim.run(8, target, sampler, k = 2, eps = 0.3, delta = 0.05)
-    assert(res.matching.toSet == Set(0, 1))
-    assert(res.deltaUpper <= 0.05)
+    for (app <- approximate) {
+      val res = runToy(app, target, dists, eps = 0.3, delta = 0.05, seed = 1)
+      assert(res.matching.toSet == Set(0, 1), s"$app")
+      assert(res.deltaUpper <= 0.05, s"$app")
+    }
   }
 
   test("returned histograms satisfy reconstruction against true distributions") {
     val (target, dists) = toyDists(vz = 8, vx = 6)
-    val sampler = new MultinomialSampler(dists, Array.fill(8)(1.0), 500, seed = 2)
     val eps = 0.3
-    val res = HistSim.run(8, target, sampler, k = 2, eps = eps, delta = 0.05)
-    res.matching.foreach { i =>
-      assert(Hist.l1(res.histograms(i), dists(i)) < eps,
-        s"reconstruction failed for candidate $i")
+    for (app <- approximate) {
+      val res = runToy(app, target, dists, eps, delta = 0.05, seed = 2)
+      res.matching.foreach { i =>
+        assert(Hist.l1(Hist.normalize(res.counts(i)), dists(i)) < eps,
+          s"$app: reconstruction failed for candidate $i")
+      }
     }
   }
 
   test("separation: estimated taus are close to true taus at termination") {
     val (target, dists) = toyDists(vz = 8, vx = 6)
     val trueTau = dists.map(d => Hist.l1(d, target))
-    val sampler = new MultinomialSampler(dists, Array.fill(8)(1.0), 500, seed = 3)
     val eps = 0.3
-    val res = HistSim.run(8, target, sampler, k = 2, eps = eps, delta = 0.05)
-    res.matching.foreach(i => assert(math.abs(res.tau(i) - trueTau(i)) < eps))
+    for (app <- approximate) {
+      val res = runToy(app, target, dists, eps, delta = 0.05, seed = 3)
+      res.matching.foreach(i => assert(math.abs(res.tau(i) - trueTau(i)) < eps, s"$app candidate $i"))
+    }
   }
 
   test("MaxDelta (SlowMatch) needs at least as many samples as SumDelta") {
     val (target, dists) = toyDists(vz = 10, vx = 6)
-    def samplesWith(c: Criterion, seed: Long): Long = {
-      val s = new MultinomialSampler(dists, Array.fill(10)(1.0), 200, seed)
-      HistSim.run(10, target, s, k = 2, eps = 0.25, delta = 0.05, criterion = c).samples
-    }
-    // average over seeds to damp round-granularity noise
-    val sum = (1L to 5L).map(samplesWith(Criterion.SumDelta, _)).sum
-    val max = (1L to 5L).map(samplesWith(Criterion.MaxDelta, _)).sum
+    def samplesWith(app: Approach, seed: Long): Long =
+      runToy(app, target, dists, eps = 0.25, delta = 0.05, seed).cost.tuplesRead
+    // summed over stores to damp round-granularity noise
+    val sum = (1L to 5L).map(samplesWith(Approach.ScanMatch, _)).sum
+    val max = (1L to 5L).map(samplesWith(Approach.SlowMatch, _)).sum
     assert(max >= sum, s"MaxDelta used $max total samples < SumDelta's $sum")
   }
 
   test("active-only sampling still returns correct results") {
+    // SyncMatch and FastMatch read only blocks holding an active candidate
     val (target, dists) = toyDists(vz = 8, vx = 6)
-    val sampler = new MultinomialSampler(dists, Array.fill(8)(1.0), 500, seed = 4, onlyActive = true)
-    val res = HistSim.run(8, target, sampler, k = 2, eps = 0.3, delta = 0.05)
-    assert(res.matching.toSet == Set(0, 1))
-  }
-
-  test("skewed candidate weights do not break correctness") {
-    val (target, dists) = toyDists(vz = 8, vx = 6)
-    val weights = Array.tabulate(8)(z => if (z < 2) 0.3 else 3.0) // top-k under-represented
-    val sampler = new MultinomialSampler(dists, weights, 800, seed = 5)
-    val res = HistSim.run(8, target, sampler, k = 2, eps = 0.3, delta = 0.05)
-    assert(res.matching.toSet == Set(0, 1))
+    for (app <- Seq(Approach.SyncMatch, Approach.FastMatch)) {
+      val res = runToy(app, target, dists, eps = 0.3, delta = 0.05, seed = 4)
+      assert(res.matching.toSet == Set(0, 1), s"$app")
+    }
   }
 
   test("finite population: exhaustion forces exactness and termination") {
-    // sampler with a tiny finite population; eps far too small to ever be
-    // met by sampling alone
+    // a tiny one-block population; eps far too small to ever be met by
+    // sampling alone
     val vx = 4
     val target = Hist.uniform(vx)
     val pop: Array[Array[Int]] = Array(
       Array(10, 10, 10, 10), // candidate 0: exactly uniform
       Array(30, 5, 3, 2),    // candidate 1: far
     )
-    val sampler = new Sampler {
-      private var delivered = false
-      override def nextRound(active: Array[Boolean]): Array[(Int, Int, Int)] = {
-        if (delivered) Array.empty
-        else {
-          delivered = true
-          (for (z <- pop.indices; x <- 0 until vx if pop(z)(x) > 0)
-            yield (z, x, pop(z)(x))).toArray
-        }
-      }
-      override def exhausted(): Set[Int] = if (delivered) Set(0, 1) else Set.empty
+    val rows = for (z <- pop.indices; x <- 0 until vx if pop(z)(x) > 0) yield (z, x, pop(z)(x))
+    val reader = new BlockReader {
+      override def numBlocks: Int = 1
+      override def read(blocks: Array[Int]): Array[Array[(Int, Int, Int)]] = blocks.map(_ => rows.toArray)
     }
-    val res = HistSim.run(2, target, sampler, k = 1, eps = 0.001, delta = 0.001)
-    assert(res.matching.sameElements(Array(0)))
-    assert(res.deltaUpper == 0.0)
-  }
-
-  test("immediate termination when the criterion trivially holds") {
-    // k >= vz and a single exact candidate
-    val target = Hist.uniform(2)
-    val sampler = new Sampler {
-      override def nextRound(active: Array[Boolean]): Array[(Int, Int, Int)] = Array.empty
-      override def exhausted(): Set[Int] = Set.empty
+    val index = BitmapIndex.fromBlockTriples(rows.iterator.map { case (z, _, c) => (0, z, c) }, pop.length, 1)
+    for (app <- Approach.all) {
+      val res = Matchers.run(app, MatchTask(2, vx, 1, 0.001, 0.001, target), reader, index, 0)
+      assert(res.matching.sameElements(Array(0)), s"$app")
+      assert(res.deltaUpper == 0.0, s"$app")
     }
-    // delta close to 1 with vz=1, zero samples: delta_i = 1 > 0.99 — must
-    // not terminate instantly; after the empty round it stops safely.
-    val res = HistSim.run(1, target, sampler, k = 1, eps = 1.9, delta = 0.99, maxRounds = 5)
-    assert(res.rounds <= 5)
-  }
-
-  test("maxRounds caps the loop") {
-    val (target, dists) = toyDists(vz = 8, vx = 6)
-    val sampler = new MultinomialSampler(dists, Array.fill(8)(1.0), 10, seed = 6)
-    val res = HistSim.run(8, target, sampler, k = 2, eps = 0.01, delta = 1e-6, maxRounds = 3)
-    assert(res.rounds == 3)
   }
 }

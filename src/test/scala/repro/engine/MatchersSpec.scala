@@ -11,45 +11,6 @@ import repro.index.BitmapIndex
   */
 class MatchersSpec extends AnyFunSuite {
 
-  /** In-memory population: candidate z has freq(z) tuples drawn from
-    * dists(z), scattered uniformly over blocks.
-    */
-  private def toyStore(freq: Array[Int], dists: Array[Array[Double]],
-                       tuplesPerBlock: Int, seed: Long): (BlockReader, BitmapIndex, Truth, Int) = {
-    val vz = freq.length; val vx = dists(0).length
-    val rows = freq.map(_.toLong).sum
-    val b = math.max(1, (rows / tuplesPerBlock).toInt)
-    val rng = new java.util.Random(seed)
-    val cdfs = dists.map { d =>
-      val out = new Array[Double](d.length); var acc = 0.0
-      for (i <- d.indices) { acc += d(i); out(i) = acc }
-      out(d.length - 1) = 1.0; out
-    }
-    val perBlock = Array.fill(b)(scala.collection.mutable.Map.empty[(Int, Int), Int])
-    val hists = Array.fill(vz)(new Array[Long](vx))
-    for (z <- 0 until vz; _ <- 0 until freq(z)) {
-      val u = rng.nextDouble(); var x = 0
-      while (cdfs(z)(x) < u) x += 1
-      val blk = rng.nextInt(b)
-      perBlock(blk)((z, x)) = perBlock(blk).getOrElse((z, x), 0) + 1
-      hists(z)(x) += 1
-    }
-    val reader = new BlockReader {
-      override val numBlocks: Int = b
-      override def read(blocks: Array[Int]): Array[Array[(Int, Int, Int)]] =
-        blocks.map(blk => perBlock(blk).iterator.map { case ((z, x), c) => (z, x, c) }.toArray)
-    }
-    val index = BitmapIndex.fromBlockTriples(
-      perBlock.iterator.zipWithIndex.flatMap { case (m, blk) =>
-        m.keysIterator.map { case (z, _) => (blk, z, 1) }
-      }, vz, b)
-    val target = Hist.normalize(hists(0))
-    val tau = hists.map(h => Hist.dist(h, target))
-    val k = 2
-    val topK = Array.range(0, vz).sortBy(tau).take(k)
-    (reader, index, Truth(target, hists, tau, topK), b)
-  }
-
   /** 8 candidates: 0,1 close together (top-2), 2..5 far, 6,7 rare+far. */
   private def standardSetup(seed: Long = 1) = {
     val freq = Array(4000, 4000, 3000, 3000, 3000, 3000, 150, 150)
@@ -63,7 +24,7 @@ class MatchersSpec extends AnyFunSuite {
     val dists = Array(
       base, Hist.normalize(Array(0.41, 0.3, 0.19, 0.1)),
       shift(3), shift(4), shift(5), shift(6), shift(7), shift(8))
-    toyStore(freq, dists, tuplesPerBlock = 32, seed = seed)
+    ToyStore(freq, dists, tuplesPerBlock = 32, seed = seed)
   }
 
   /** 8 candidates whose true top-2 (0, 1, near uniform) are the rarest:
@@ -76,7 +37,7 @@ class MatchersSpec extends AnyFunSuite {
       if (z < 2) Hist.normalize(Array.tabulate(vx)(x => 1.0 + (if (x == z) 0.05 else 0.0)))
       else Hist.normalize(Array.tabulate(vx)(x => if (x == z % vx) (0.5 + 0.5 * z) * vx else 1.0))
     }
-    toyStore(Array.tabulate(8)(z => if (z < 2) 300 else 3000), dists, tuplesPerBlock = 32, seed = 5)
+    ToyStore(Array.tabulate(8)(z => if (z < 2) 300 else 3000), dists, tuplesPerBlock = 32, seed = 5)
   }
 
   private def task(truth: Truth, eps: Double = 0.25, delta: Double = 0.05) =
