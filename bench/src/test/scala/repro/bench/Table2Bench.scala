@@ -25,13 +25,14 @@ class Table2Bench extends SparkSpec {
     Seq("FLIGHTS", "TAXI", "POLICE").map(n => n -> Workloads.dataset(spark, n, sf))
 
   test("Table 2: dataset summaries") {
-    println(f"${"Dataset"}%-9s ${"#Tuples"}%12s ${"#Attr"}%6s ${"~Size"}%10s   (paper: #Tuples, #Attr, Size, Repl)")
+    println(f"${"Dataset"}%-9s ${"#Tuples"}%12s ${"#Attr"}%6s ${"#Blocks"}%8s ${"~Size"}%10s   " +
+      "(paper: #Tuples, #Attr, Size, Repl)")
     datasets.foreach { case (name, ds) =>
       val attrs = ds.df.columns.count(c => c != "id" && c != "block")
       val (pSize, pTuples, pAttrs, pRepl) = paper(name)
       // ~50 bytes/tuple, in the same ballpark as the paper's row width
       val sizeMiB = ds.rows * 50.0 / (1 << 20)
-      println(f"$name%-9s ${ds.rows}%12d $attrs%6d $sizeMiB%8.1fMiB   " +
+      println(f"$name%-9s ${ds.rows}%12d $attrs%6d ${ds.numBlocks}%8d $sizeMiB%8.1fMiB   " +
         f"($pTuples%12.0f, $pAttrs%d, $pSize, ${pRepl}x)")
       assert(ds.df.count() == ds.rows)
       assert(attrs == pAttrs, s"$name should have $pAttrs attributes like the paper")

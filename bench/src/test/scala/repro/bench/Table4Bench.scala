@@ -2,7 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.data.Workloads
-import repro.engine.{CostParams, Harness}
+import repro.engine.Harness
 
 /** Reproduces Table 4: "Summary of average query speedups and latencies".
   *
@@ -18,7 +18,6 @@ class Table4Bench extends SparkSpec {
 
   private val sf = sys.env.getOrElse("REPRO_BENCH_SF", "1.0").toDouble
   private val runs = sys.env.getOrElse("REPRO_BENCH_RUNS", "3").toInt
-  private val params = CostParams()
 
   private lazy val datasets = {
     val names = Workloads.queries.map(_.dataset).distinct
@@ -31,7 +30,7 @@ class Table4Bench extends SparkSpec {
 
   private lazy val results = Workloads.queries.map { q =>
     val ctx = Harness.prepare(spark, datasets(q.dataset), q)
-    val qb = Harness.benchQuery(ctx, runs, params)
+    val qb = Harness.benchQuery(ctx, runs)
     Console.out.println(Harness.formatRow(qb))
     q -> qb
   }

@@ -10,8 +10,6 @@ import repro.core.Hist
   * @param rows      exact tuple count
   * @param numBlocks number of storage blocks (random tuple-to-block map)
   * @param cards     cardinality of every categorical attribute
-  * @param design    the planted per-candidate distributions, keyed by
-  *                  "zCol->xCol" — used by tests to check realized shapes
   */
 final case class Dataset(
     name: String,
@@ -19,7 +17,6 @@ final case class Dataset(
     rows: Long,
     numBlocks: Int,
     cards: Map[String, Int],
-    design: Map[String, Array[Array[Double]]],
 )
 
 /** How a query's visual target vector is obtained (Table 3's "target"). */
@@ -167,10 +164,7 @@ object Workloads {
     )
     val (df, nb) = Gen.withBlocks(Gen.dataset(spark, specs, seed), rows, TuplesPerBlock, seed + 100)
     Dataset("FLIGHTS", df, rows, nb,
-      Map("origin" -> FlightsVz, "dep_hour" -> 24, "day_of_week" -> 7, "dest" -> FlightsVz),
-      Map("origin->dep_hour" -> flightsDepHour,
-          "origin->day_of_week" -> flightsDayOfWeek,
-          "origin->dest" -> flightsDest))
+      Map("origin" -> FlightsVz, "dep_hour" -> 24, "day_of_week" -> 7, "dest" -> FlightsVz))
   }
 
   // ------------------------------------------------------------------
@@ -219,8 +213,7 @@ object Workloads {
     )
     val (df, nb) = Gen.withBlocks(Gen.dataset(spark, specs, seed), rows, TuplesPerBlock, seed + 100)
     Dataset("TAXI", df, rows, nb,
-      Map("location" -> TaxiVz, "hour_of_day" -> 24, "month_of_year" -> 12),
-      Map("location->hour_of_day" -> taxiHour, "location->month_of_year" -> taxiMonth))
+      Map("location" -> TaxiVz, "hour_of_day" -> 24, "month_of_year" -> 12))
   }
 
   // ------------------------------------------------------------------
@@ -294,10 +287,7 @@ object Workloads {
     val (df, nb) = Gen.withBlocks(Gen.dataset(spark, specs, seed), rows, TuplesPerBlock, seed + 100)
     Dataset("POLICE", df, rows, nb,
       Map("road_id" -> PoliceVz, "contraband" -> 2, "officer_race" -> 5,
-          "violation" -> PoliceViolations, "driver_gender" -> 2),
-      Map("road_id->contraband" -> policeContraband,
-          "road_id->officer_race" -> policeRace,
-          "violation->driver_gender" -> policeGender))
+          "violation" -> PoliceViolations, "driver_gender" -> 2))
   }
 
   // ------------------------------------------------------------------

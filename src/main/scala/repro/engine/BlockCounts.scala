@@ -108,12 +108,6 @@ final class PrefetchedCounts private (
     }
   }
 
-  def tuplesInBlock(b: Int): Long = {
-    var i = offsets(b); var s = 0L
-    while (i < offsets(b + 1)) { s += cArr(i); i += 1 }
-    s
-  }
-
   /** Every CSR entry as (block, z, x), block by block. */
   def allTriples: Iterator[(Int, Int, Int)] =
     Iterator.range(0, numBlocks).flatMap { b =>

@@ -7,8 +7,8 @@ import repro.index.BitmapIndex
 
 /** End-to-end glue: prepare a query's context (ground truth, prefetched
   * block counts, bitmap index) with Spark, then run and score the five
-  * approaches. Shared by the Table-4 bench, the integration tests, and
-  * the spark-submit jobs.
+  * approaches. Shared by the Table-4 bench, the integration tests and
+  * perfbench.
   */
 object Harness {
 
@@ -21,13 +21,14 @@ object Harness {
       task: MatchTask,
   )
 
-  def prepare(spark: SparkSession, ds: Dataset, q: QuerySpec,
-              eps: Double = Workloads.DefaultEps,
-              delta: Double = Workloads.DefaultDelta): QueryContext = {
+  /** The task asks for the paper's guarantees at [[Workloads.DefaultEps]]
+    * and [[Workloads.DefaultDelta]].
+    */
+  def prepare(spark: SparkSession, ds: Dataset, q: QuerySpec): QueryContext = {
     val truth = GroundTruth.forQuery(spark, ds, q)
     val reader = PrefetchedCounts.build(ds.df, q.zCol, q.xCol, "block", ds.numBlocks)
     val index = BitmapIndex.fromBlockTriples(reader.allTriples, q.vz, ds.numBlocks)
-    val task = MatchTask(q.vz, q.vx, q.k, eps, delta, truth.target)
+    val task = MatchTask(q.vz, q.vx, q.k, Workloads.DefaultEps, Workloads.DefaultDelta, truth.target)
     QueryContext(ds, q, truth, reader, index, task)
   }
 
@@ -49,19 +50,18 @@ object Harness {
   )
 
   /** Run every approach `runs` times from pseudo-random start positions
-    * (the paper's protocol: random starting point in the shuffled data),
-    * and score guarantees / Delta_d against ground truth.
+    * (the paper's protocol: random starting point in the shuffled data;
+    * run i starts where `new Random(7 + i)` points), and score guarantees / Delta_d against ground truth.
     */
-  def benchQuery(ctx: QueryContext, runs: Int, params: CostParams = CostParams(),
-                 baseSeed: Long = 7): QueryBench = {
+  def benchQuery(ctx: QueryContext, runs: Int): QueryBench = {
     val b = ctx.reader.numBlocks
-    val starts = Array.tabulate(runs)(i => new java.util.Random(baseSeed + i).nextInt(b))
+    val starts = Array.tabulate(runs)(i => new java.util.Random(7L + i).nextInt(b))
 
-    val scan = Matchers.run(Approach.Scan, ctx.task, ctx.reader, ctx.index, 0, params)
+    val scan = Matchers.run(Approach.Scan, ctx.task, ctx.reader, ctx.index, 0)
     val scanTime = scan.simTime
 
     val stats = Approach.all.filterNot(_ == Approach.Scan).map { app =>
-      val results = starts.map(s => Matchers.run(app, ctx.task, ctx.reader, ctx.index, s, params))
+      val results = starts.map(s => Matchers.run(app, ctx.task, ctx.reader, ctx.index, s))
       val avgTime = results.map(_.simTime).sum / runs
       val violations = results.count { r =>
         !Metrics.separationHolds(r.matching, ctx.truth, ctx.task.eps) ||

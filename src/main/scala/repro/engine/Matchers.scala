@@ -47,7 +47,7 @@ final case class MatchTask(
   * @param counts     final empirical histogram counts per candidate
   * @param tau        final estimated distances
   * @param deltaUpper final failure-probability bound (0 for Scan)
-  * @param simTime    modeled wall time in tuple-units (see [[CostParams]])
+  * @param simTime    modeled wall time in tuple-units, at the [[CostParams]] defaults
   */
 final case class RunResult(
     approach: String,
@@ -80,8 +80,8 @@ object Matchers {
       reader: BlockReader,
       index: BitmapIndex,
       startBlock: Int,
-      params: CostParams = CostParams(),
   ): RunResult = {
+    val params = CostParams()
     val b = reader.numBlocks
     require(index.numBlocks == b, "index and reader disagree on block count")
     val state = new HistSimState(task.vz, task.target)

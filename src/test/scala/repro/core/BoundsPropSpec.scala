@@ -23,7 +23,7 @@ class BoundsPropSpec extends AnyFunSuite {
 
   test("property: deltaFor(epsFor(n, delta)) == delta whenever unclamped") {
     check("roundtrip", Prop.forAll(nGen, deltaGen, vxGen) { (n, delta, vx) =>
-      val eps = Bounds.epsFor(n, delta, vx)
+      val eps = SampleBounds.epsFor(n, delta, vx)
       math.abs(Bounds.deltaFor(n, eps, vx) - delta) < 1e-6
     })
   }
@@ -49,13 +49,13 @@ class BoundsPropSpec extends AnyFunSuite {
 
   test("property: samplesFor suffices per deltaFor") {
     check("suffices", Prop.forAll(epsGen, deltaGen, vxGen) { (eps, delta, vx) =>
-      Bounds.deltaFor(Bounds.samplesFor(eps, delta, vx), eps, vx) <= delta + 1e-9
+      Bounds.deltaFor(SampleBounds.samplesFor(eps, delta, vx), eps, vx) <= delta + 1e-9
     })
   }
 
   test("property: epsFor is monotone non-increasing in n") {
     check("eps-mono-n", Prop.forAll(nGen, deltaGen, vxGen) { (n, delta, vx) =>
-      Bounds.epsFor(n + 500, delta, vx) <= Bounds.epsFor(n, delta, vx)
+      SampleBounds.epsFor(n + 500, delta, vx) <= SampleBounds.epsFor(n, delta, vx)
     })
   }
 

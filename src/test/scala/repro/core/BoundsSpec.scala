@@ -8,38 +8,38 @@ class BoundsSpec extends AnyFunSuite {
     // eps = sqrt((2*vx/n) * log(2 / delta^(1/vx)))
     val vx = 24; val n = 10000L; val delta = 0.01
     val expected = math.sqrt((2.0 * vx / n) * math.log(2.0 / math.pow(delta, 1.0 / vx)))
-    assert(math.abs(Bounds.epsFor(n, delta, vx) - expected) < 1e-12)
+    assert(math.abs(SampleBounds.epsFor(n, delta, vx) - expected) < 1e-12)
   }
 
   test("epsFor is infinite with zero samples") {
-    assert(Bounds.epsFor(0L, 0.01, 5).isPosInfinity)
+    assert(SampleBounds.epsFor(0L, 0.01, 5).isPosInfinity)
   }
 
   test("epsFor decreases in n") {
-    val e1 = Bounds.epsFor(100, 0.01, 10)
-    val e2 = Bounds.epsFor(1000, 0.01, 10)
-    val e3 = Bounds.epsFor(100000, 0.01, 10)
+    val e1 = SampleBounds.epsFor(100, 0.01, 10)
+    val e2 = SampleBounds.epsFor(1000, 0.01, 10)
+    val e3 = SampleBounds.epsFor(100000, 0.01, 10)
     assert(e1 > e2 && e2 > e3)
   }
 
   test("epsFor increases in vx") {
-    assert(Bounds.epsFor(1000, 0.01, 2) < Bounds.epsFor(1000, 0.01, 50))
+    assert(SampleBounds.epsFor(1000, 0.01, 2) < SampleBounds.epsFor(1000, 0.01, 50))
   }
 
   test("epsFor decreases as delta grows (weaker guarantee, smaller eps)") {
-    assert(Bounds.epsFor(1000, 0.1, 10) < Bounds.epsFor(1000, 0.001, 10))
+    assert(SampleBounds.epsFor(1000, 0.1, 10) < SampleBounds.epsFor(1000, 0.001, 10))
   }
 
   test("epsFor is insensitive to delta for large vx (paper Section 3.4)") {
     // the 1/vx exponent damps the delta dependence
-    val a = Bounds.epsFor(10000, 0.1, 161)
-    val b = Bounds.epsFor(10000, 0.001, 161)
+    val a = SampleBounds.epsFor(10000, 0.1, 161)
+    val b = SampleBounds.epsFor(10000, 0.001, 161)
     assert((b - a) / a < 0.05)
   }
 
   test("deltaFor inverts epsFor") {
     for (vx <- Seq(2, 7, 24, 161); n <- Seq(500L, 5000L, 50000L); delta <- Seq(0.5, 0.01, 1e-4)) {
-      val eps = Bounds.epsFor(n, delta, vx)
+      val eps = SampleBounds.epsFor(n, delta, vx)
       assert(math.abs(Bounds.deltaFor(n, eps, vx) - delta) < 1e-9,
         s"round-trip failed at vx=$vx n=$n delta=$delta")
     }
@@ -69,7 +69,7 @@ class BoundsSpec extends AnyFunSuite {
 
   test("samplesFor achieves the requested (eps, delta)") {
     for (vx <- Seq(2, 7, 24); eps <- Seq(0.06, 0.15); delta <- Seq(0.01, 1e-4)) {
-      val n = Bounds.samplesFor(eps, delta, vx)
+      val n = SampleBounds.samplesFor(eps, delta, vx)
       assert(Bounds.deltaFor(n, eps, vx) <= delta + 1e-12)
       // minimality up to integer rounding
       assert(Bounds.deltaFor(math.max(0L, n - 2), eps, vx) > delta)
@@ -77,14 +77,14 @@ class BoundsSpec extends AnyFunSuite {
   }
 
   test("samplesFor scales as 1/eps^2") {
-    val n1 = Bounds.samplesFor(0.1, 0.01, 24)
-    val n2 = Bounds.samplesFor(0.05, 0.01, 24)
+    val n1 = SampleBounds.samplesFor(0.1, 0.01, 24)
+    val n2 = SampleBounds.samplesFor(0.05, 0.01, 24)
     assert(math.abs(n2.toDouble / n1 - 4.0) < 0.01)
   }
 
   test("samplesFor scales near-linearly in vx (information-theoretic rate)") {
-    val n1 = Bounds.samplesFor(0.1, 0.01, 50)
-    val n2 = Bounds.samplesFor(0.1, 0.01, 100)
+    val n1 = SampleBounds.samplesFor(0.1, 0.01, 50)
+    val n2 = SampleBounds.samplesFor(0.1, 0.01, 100)
     val ratio = n2.toDouble / n1
     assert(ratio > 1.5 && ratio < 2.1, s"ratio $ratio")
   }
@@ -93,20 +93,20 @@ class BoundsSpec extends AnyFunSuite {
     // paper: "our bound typically requires half or fewer samples" at
     // delta = 0.01 for moderate support sizes
     for (vx <- Seq(2, 7, 24, 64, 161)) {
-      val ours = Bounds.samplesFor(0.1, 0.01, vx)
-      val prior = Bounds.waggonerSamplesFor(0.1, 0.01, vx)
+      val ours = SampleBounds.samplesFor(0.1, 0.01, vx)
+      val prior = SampleBounds.waggonerSamplesFor(0.1, 0.01, vx)
       assert(ours < prior, s"vx=$vx: ours=$ours prior=$prior")
     }
   }
 
   test("bound ratio to prior work is eps-free") {
-    val r1 = Bounds.samplesFor(0.1, 0.01, 24).toDouble / Bounds.waggonerSamplesFor(0.1, 0.01, 24)
-    val r2 = Bounds.samplesFor(0.05, 0.01, 24).toDouble / Bounds.waggonerSamplesFor(0.05, 0.01, 24)
+    val r1 = SampleBounds.samplesFor(0.1, 0.01, 24).toDouble / SampleBounds.waggonerSamplesFor(0.1, 0.01, 24)
+    val r2 = SampleBounds.samplesFor(0.05, 0.01, 24).toDouble / SampleBounds.waggonerSamplesFor(0.05, 0.01, 24)
     assert(math.abs(r1 - r2) < 0.01)
   }
 
   test("waggonerEpsFor decreases in n") {
-    assert(Bounds.waggonerEpsFor(10000, 0.01, 24) < Bounds.waggonerEpsFor(1000, 0.01, 24))
+    assert(SampleBounds.waggonerEpsFor(10000, 0.01, 24) < SampleBounds.waggonerEpsFor(1000, 0.01, 24))
   }
 
   test("empirical validation: Theorem 1 deviation holds at the stated rate") {
@@ -116,7 +116,7 @@ class BoundsSpec extends AnyFunSuite {
     val p = Array(0.5, 0.3, 0.15, 0.05)
     val cdf = p.scanLeft(0.0)(_ + _).tail
     val n = 2000; val trials = 300; val delta = 0.05
-    val eps = Bounds.epsFor(n, delta, p.length)
+    val eps = SampleBounds.epsFor(n, delta, p.length)
     var fails = 0
     for (_ <- 0 until trials) {
       val counts = new Array[Long](p.length)
@@ -132,10 +132,10 @@ class BoundsSpec extends AnyFunSuite {
   }
 
   test("argument validation") {
-    intercept[IllegalArgumentException](Bounds.epsFor(10, 0.0, 5))
-    intercept[IllegalArgumentException](Bounds.epsFor(10, 1.0, 5))
-    intercept[IllegalArgumentException](Bounds.epsFor(10, 0.5, 0))
-    intercept[IllegalArgumentException](Bounds.samplesFor(0.0, 0.5, 5))
+    intercept[IllegalArgumentException](SampleBounds.epsFor(10, 0.0, 5))
+    intercept[IllegalArgumentException](SampleBounds.epsFor(10, 1.0, 5))
+    intercept[IllegalArgumentException](SampleBounds.epsFor(10, 0.5, 0))
+    intercept[IllegalArgumentException](SampleBounds.samplesFor(0.0, 0.5, 5))
     intercept[IllegalArgumentException](Bounds.deltaFor(10, 0.1, 0))
   }
 }

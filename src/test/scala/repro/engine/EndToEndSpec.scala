@@ -1,7 +1,7 @@
 package repro.engine
 
 import repro.SparkSpec
-import repro.data.Workloads
+import repro.data.{Dataset, QuerySpec, Workloads}
 import repro.index.BitmapIndex
 
 /** Full-pipeline tests: Spark generation -> ground truth -> prefetched
@@ -14,6 +14,11 @@ class EndToEndSpec extends SparkSpec {
   private val testEps = 0.45 // miniature populations need a loose tolerance
   private val testDelta = 0.05
 
+  private def prepare(q: QuerySpec, ds: Dataset): Harness.QueryContext = {
+    val ctx = Harness.prepare(spark, ds, q)
+    ctx.copy(task = ctx.task.copy(eps = testEps, delta = testDelta))
+  }
+
   private lazy val datasets = Map(
     "FLIGHTS" -> Workloads.flights(spark, sf),
     "TAXI"    -> Workloads.taxi(spark, sf),
@@ -25,11 +30,11 @@ class EndToEndSpec extends SparkSpec {
 
   test("harness context is internally consistent (FLIGHTS-q1)") {
     val q = Workloads.queries.head
-    val ctx = Harness.prepare(spark, datasets(q.dataset), q, testEps, testDelta)
+    val ctx = prepare(q, datasets(q.dataset))
     assert(ctx.task.vz == 161 && ctx.task.vx == 24 && ctx.task.k == 10)
     assert(math.abs(ctx.task.target.sum - 1.0) < 1e-9)
     // prefetched totals equal the dataset row count
-    val total = (0 until ctx.reader.numBlocks).map(ctx.reader.tuplesInBlock).sum
+    val total = ctx.reader.read(Array.range(0, ctx.reader.numBlocks)).iterator.flatten.map(_._3.toLong).sum
     assert(total == ctx.ds.rows)
     // truth top-k distances are sorted and within the candidate range
     assert(ctx.truth.topK.length == 10)
@@ -39,7 +44,7 @@ class EndToEndSpec extends SparkSpec {
   test("index built from prefetched triples equals index built by Spark") {
     val q = Workloads.queries.head
     val ds = datasets(q.dataset)
-    val ctx = Harness.prepare(spark, ds, q, testEps, testDelta)
+    val ctx = prepare(q, ds)
     val direct = BitmapIndex.build(ds.df, q.zCol, q.vz, "block", ds.numBlocks)
     for (z <- 0 until q.vz)
       assert(ctx.index.bitmaps(z) == direct.bitmaps(z), s"bitmap mismatch z=$z")
@@ -48,7 +53,7 @@ class EndToEndSpec extends SparkSpec {
   test("SparkRoundReader and PrefetchedCounts drive identical matcher runs") {
     val q = Workloads.queries.head
     val ds = datasets(q.dataset)
-    val ctx = Harness.prepare(spark, ds, q, testEps, testDelta)
+    val ctx = prepare(q, ds)
     val sparkReader = new SparkRoundReader(ds.df, q.zCol, q.xCol, "block", ds.numBlocks)
     val a = Matchers.run(Approach.FastMatch, ctx.task, ctx.reader, ctx.index, 5)
     val b = Matchers.run(Approach.FastMatch, ctx.task, sparkReader, ctx.index, 5)
@@ -60,7 +65,7 @@ class EndToEndSpec extends SparkSpec {
 
   test("all nine queries: guarantees hold for every approach") {
     for (q <- Workloads.queries) {
-      val ctx = Harness.prepare(spark, datasets(q.dataset), q, testEps, testDelta)
+      val ctx = prepare(q, datasets(q.dataset))
       for (app <- Approach.all) {
         val res = Matchers.run(app, ctx.task, ctx.reader, ctx.index, 13)
         assert(Metrics.separationHolds(res.matching, ctx.truth, testEps),
@@ -73,7 +78,7 @@ class EndToEndSpec extends SparkSpec {
 
   test("benchQuery aggregates runs with zero violations on an easy query") {
     val q = Workloads.queries.head
-    val ctx = Harness.prepare(spark, datasets(q.dataset), q, testEps, testDelta)
+    val ctx = prepare(q, datasets(q.dataset))
     val qb = Harness.benchQuery(ctx, runs = 2)
     assert(qb.scanSimTime == ctx.ds.rows.toDouble) // Scan = pure IO at tTuple = 1
     assert(qb.stats.map(_.approach).toSet ==
@@ -88,7 +93,7 @@ class EndToEndSpec extends SparkSpec {
 
   test("formatRow renders measured and paper numbers") {
     val q = Workloads.queries.head
-    val ctx = Harness.prepare(spark, datasets(q.dataset), q, testEps, testDelta)
+    val ctx = prepare(q, datasets(q.dataset))
     val row = Harness.formatRow(Harness.benchQuery(ctx, runs = 1))
     assert(row.contains("FLIGHTS-q1"))
     assert(row.contains("FastMatch"))
@@ -99,7 +104,7 @@ class EndToEndSpec extends SparkSpec {
   test("Scan output equals the DuckDB-checked exact top-k") {
     val q = Workloads.queries(6) // POLICE-q1, small vx
     val ds = datasets(q.dataset)
-    val ctx = Harness.prepare(spark, ds, q, testEps, testDelta)
+    val ctx = prepare(q, ds)
     val res = Matchers.run(Approach.Scan, ctx.task, ctx.reader, ctx.index, 0)
     assert(res.matching.sameElements(ctx.truth.topK))
   }

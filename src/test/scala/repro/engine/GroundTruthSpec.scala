@@ -104,7 +104,7 @@ class GroundTruthSpec extends SparkSpec {
     import repro.data.{Dataset, QuerySpec}
     val ds = {
       val (withB, nb) = Gen.withBlocks(df, 6500L, 32, seed = 7)
-      Dataset("TOY", withB, 6500L, nb, Map("z" -> 4, "x" -> 3), Map.empty)
+      Dataset("TOY", withB, 6500L, nb, Map("z" -> 4, "x" -> 3))
     }
     val q = QuerySpec("TOY", "q", "z", "x", 4, 3, 2, TargetSpec.ClosestToUniform, 0.0, Map.empty)
     val truth = GroundTruth.forQuery(spark, ds, q)

@@ -149,8 +149,8 @@ class MatchersSpec extends AnyFunSuite {
     val (reader, index, truth, _) = standardSetup()
     val t = task(truth)
     val p = CostParams()
-    val sync = Matchers.run(Approach.SyncMatch, t, reader, index, 0, p)
-    val fast = Matchers.run(Approach.FastMatch, t, reader, index, 0, p)
+    val sync = Matchers.run(Approach.SyncMatch, t, reader, index, 0)
+    val fast = Matchers.run(Approach.FastMatch, t, reader, index, 0)
     assert(sync.cost.probesCold > 0 && sync.cost.probesWarm == 0)
     assert(fast.cost.probesCold == 0)
     assert(fast.cost.lineMisses > 0)
@@ -163,7 +163,7 @@ class MatchersSpec extends AnyFunSuite {
   test("wall formula: Scan simTime equals pure IO units") {
     val (reader, index, truth, _) = standardSetup()
     val p = CostParams()
-    val res = Matchers.run(Approach.Scan, task(truth), reader, index, 0, p)
+    val res = Matchers.run(Approach.Scan, task(truth), reader, index, 0)
     assert(res.simTime == res.cost.ioUnits(p))
   }
 
