@@ -26,9 +26,11 @@ final case class Iteration(
 
 /** The deviation-selection step of HistSim (Section 3.3).
   *
-  * Given current per-candidate (tau, n, exact) state it:
-  *   1. selects the k + 1 candidates with the smallest estimated
-  *      distance tau (O(|V_Z| * k), no full sort) and takes the first k
+  * Given current per-candidate (counts, n, exact) state it:
+  *   1. in one sweep over the candidates in index order, recomputes tau
+  *      of each candidate whose counts changed since the last iteration
+  *      and selects the k + 1 candidates with the smallest tau
+  *      (O(|V_Z| * k + dirty * |V_X|), no full sort), taking the first k
   *      as M;
   *   2. chooses the split point s halfway between the furthest candidate
   *      in M and the closest candidate outside M;
@@ -42,8 +44,8 @@ final case class Iteration(
   */
 object Deviations {
 
-  /** Run one iteration. `state.tau` must be fresh for all candidates whose
-    * counts changed since the last call.
+  /** Run one iteration. Refreshes `state.tau` of the dirty candidates and
+    * clears their marks.
     */
   def iterate(state: HistSimState, k: Int, eps: Double, delta: Double): Iteration = {
     val nz = state.nCandidates
@@ -51,7 +53,18 @@ object Deviations {
     require(eps > 0 && delta > 0 && delta < 1, s"bad (eps=$eps, delta=$delta)")
 
     val kk = math.min(k, nz)
-    val order = smallest(state.tau, math.min(kk + 1, nz))
+    val tau = state.tau; val dirty = state.dirty
+    val counts = state.counts; val n = state.n; val target = state.target; val vx = state.vx
+    // Every candidate offered before z already has its final tau, so the
+    // selection is that of `smallest` over the refreshed taus.
+    val order = new Array[Int](math.min(kk + 1, nz))
+    var len = 0
+    var z = 0
+    while (z < nz) {
+      if (dirty(z)) { tau(z) = Hist.dist(counts, z * vx, n(z), target); dirty(z) = false }
+      len = offer(tau, order, len, z)
+      z += 1
+    }
     val matching = java.util.Arrays.copyOf(order, kk)
 
     val epsOut = new Array[Double](nz)
@@ -60,7 +73,7 @@ object Deviations {
 
     val splitPoint =
       if (kk >= nz) Double.NaN
-      else (state.tau(order(kk - 1)) + state.tau(order(kk))) / 2.0
+      else (tau(order(kk - 1)) + tau(order(kk))) / 2.0
 
     val inM = new Array[Boolean](nz)
     var m = 0
@@ -75,13 +88,13 @@ object Deviations {
           // caps at s + eps/2 - tau_i. With no split (all candidates
           // in M) only the reconstruction cap applies.
           if (splitPoint.isNaN) eps
-          else math.min(eps, splitPoint + eps / 2.0 - state.tau(i))
+          else math.min(eps, splitPoint + eps / 2.0 - tau(i))
         } else {
-          math.max(0.0, state.tau(i) - lowerFence)
+          math.max(0.0, tau(i) - lowerFence)
         }
       deltaOut(i) =
         if (state.exact(i)) 0.0
-        else Bounds.deltaFor(state.n(i), epsOut(i), state.vx)
+        else Bounds.deltaFor(n(i), epsOut(i), vx)
       i += 1
     }
 
@@ -101,8 +114,7 @@ object Deviations {
   /** Indices of the `m` smallest entries of `tau`, ordered by
     * `java.lang.Double.compare` and then by lower index: exactly the first
     * `m` entries of `Array.range(0, tau.length).sortBy(tau)`, which is a
-    * stable sort. Insertion into a sorted prefix, O(tau.length * m); most
-    * entries are rejected by one comparison with the current m-th.
+    * stable sort. Insertion into a sorted prefix, O(tau.length * m).
     */
   def smallest(tau: Array[Double], m: Int): Array[Int] = {
     require(m >= 0 && m <= tau.length, s"m=$m out of [0, ${tau.length}]")
@@ -110,18 +122,26 @@ object Deviations {
     if (m == 0) return out
     var len = 0
     var i = 0
-    while (i < tau.length) {
-      val t = tau(i)
-      if (len < m || java.lang.Double.compare(t, tau(out(m - 1))) < 0) {
-        // shift strictly larger entries right; equal ones keep their
-        // place ahead of i, since they have lower indices
-        var j = if (len < m) len else m - 1
-        while (j > 0 && java.lang.Double.compare(t, tau(out(j - 1))) < 0) { out(j) = out(j - 1); j -= 1 }
-        out(j) = i
-        if (len < m) len += 1
-      }
-      i += 1
-    }
+    while (i < tau.length) { len = offer(tau, out, len, i); i += 1 }
     out
+  }
+
+  /** Offers index i to `out(0 until len)`, the indices of the smallest
+    * entries of `tau` offered so far in stable order, kept to at most
+    * `out.length` (>= 1) entries; i must exceed every index offered
+    * before. Returns the new length. Once `out` is full, most entries are
+    * rejected by one comparison with the last.
+    */
+  private def offer(tau: Array[Double], out: Array[Int], len: Int, i: Int): Int = {
+    val m = out.length
+    val t = tau(i)
+    if (len < m || java.lang.Double.compare(t, tau(out(m - 1))) < 0) {
+      // shift strictly larger entries right; equal ones keep their
+      // place ahead of i, since they have lower indices
+      var j = if (len < m) len else m - 1
+      while (j > 0 && java.lang.Double.compare(t, tau(out(j - 1))) < 0) { out(j) = out(j - 1); j -= 1 }
+      out(j) = i
+      if (len < m) len + 1 else len
+    } else len
   }
 }

@@ -2,61 +2,67 @@ package repro.core
 
 /** Mutable per-candidate state for one HistSim run.
   *
-  * Tracks, for each candidate i in [0, nCandidates):
-  *   - `n(i)`       — samples taken so far (tuples observed), the sum of
-  *                    `counts(i)`,
-  *   - `counts(i)`  — the empirical histogram over the |V_X| groups,
-  *   - `tau(i)`     — l1 distance of the normalized empirical histogram
+  * Tracks, for each candidate z in [0, nCandidates):
+  *   - `n(z)`       — samples taken so far (tuples observed), the sum of
+  *                    z's counts,
+  *   - `counts`     — the empirical histograms over the |V_X| groups, in
+  *                    one flat array: z's histogram is
+  *                    `counts(z * vx until (z + 1) * vx)` ([[hist]] copies
+  *                    it out),
+  *   - `tau(z)`     — l1 distance of the normalized empirical histogram
   *                    from the (already normalized) target Q-hat,
-  *   - `exact(i)`   — whether candidate i's data has been exhausted
+  *   - `exact(z)`   — whether candidate z's data has been exhausted
   *                    (every block containing it was read), in which case
-  *                    its histogram is the true one and its deviation is 0.
+  *                    its histogram is the true one and its deviation is 0,
+  *   - `dirty(z)`   — whether z's counts changed since `tau(z)` was last
+  *                    computed.
   *
-  * `tau` is maintained incrementally: only candidates touched by a batch
-  * of new counts are recomputed (O(touched * |V_X|)), which is what makes
-  * a per-block SyncMatch simulation tractable while preserving the
+  * `tau` is maintained incrementally: [[Deviations.iterate]] recomputes it
+  * only for dirty candidates (O(dirty * |V_X|)), in the same sweep over
+  * the candidates that selects the top k + 1, which preserves the
   * O(|V_Z| * |V_X|) complexity the paper charges per statistics iteration.
   */
 final class HistSimState(val nCandidates: Int, val target: Array[Double]) {
   val vx: Int = target.length
   require(vx >= 1, "target must be non-empty")
+  require(nCandidates >= 0 && nCandidates.toLong * vx <= Int.MaxValue,
+    s"$nCandidates candidates × $vx groups do not fit one array")
 
   val n: Array[Long] = new Array[Long](nCandidates)
-  val counts: Array[Array[Long]] = Array.fill(nCandidates)(new Array[Long](vx))
+  val counts: Array[Long] = new Array[Long](nCandidates * vx)
   val tau: Array[Double] = {
     val unsampled = Hist.dist(new Array[Long](vx), target)
     Array.fill(nCandidates)(unsampled)
   }
   val exact: Array[Boolean] = new Array[Boolean](nCandidates)
+  val dirty: Array[Boolean] = new Array[Boolean](nCandidates)
 
-  /** Add `c` observed tuples with group value `x` for candidate `z`.
-    * Does NOT refresh tau — call [[refreshTau]] once per batch.
+  /** Add `c` observed tuples with group value `x` for candidate `z`, and
+    * mark z dirty; the next [[Deviations.iterate]] refreshes its tau.
     */
   def add(z: Int, x: Int, c: Long): Unit = {
+    // one sign test: z, x and the distances to their upper bounds are >= 0
+    if ((z | x | (nCandidates - 1 - z) | (vx - 1 - x)) < 0)
+      throw new IllegalArgumentException(s"candidate $z, group $x outside [0, $nCandidates) × [0, $vx)")
     require(c >= 0, s"negative count $c")
-    counts(z)(x) += c
+    counts(z * vx + x) += c
     n(z) += c
+    dirty(z) = true
   }
 
-  /** Recompute tau for the given candidates (after a batch of adds). */
+  /** A copy of candidate z's histogram. */
+  def hist(z: Int): Array[Long] = java.util.Arrays.copyOfRange(counts, z * vx, (z + 1) * vx)
+
+  /** Recompute tau for the given candidates and clear their dirty marks. */
   def refreshTau(touched: Iterable[Int]): Unit =
-    touched.foreach { z => tau(z) = Hist.dist(counts(z), n(z), target) }
+    touched.foreach { z => tau(z) = Hist.dist(counts, z * vx, n(z), target); dirty(z) = false }
 
-  /** Recompute tau for the candidates `zs(0 until len)`, without boxing. */
-  def refreshTau(zs: Array[Int], len: Int): Unit = {
-    // copied to locals so that the loop reads no field
-    val tau = this.tau; val counts = this.counts; val n = this.n; val target = this.target
-    var i = 0
-    while (i < len) { val z = zs(i); tau(z) = Hist.dist(counts(z), n(z), target); i += 1 }
-  }
-
-  /** Recompute tau for every candidate (used by tests as the oracle for
-    * the incremental path, and at initialization). It sums the counts
-    * rather than trusting `n`.
+  /** Recompute tau for every candidate and clear every dirty mark. It
+    * sums the counts rather than trusting `n`.
     */
   def refreshAllTau(): Unit = {
     var z = 0
-    while (z < nCandidates) { tau(z) = Hist.dist(counts(z), target); z += 1 }
+    while (z < nCandidates) { tau(z) = Hist.dist(hist(z), target); dirty(z) = false; z += 1 }
   }
 
   def markExact(z: Int): Unit = exact(z) = true

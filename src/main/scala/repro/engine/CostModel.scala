@@ -14,10 +14,11 @@ package repro.engine
   *                    (lookahead walks 512 consecutive bits per candidate,
   *                    paying one miss per line — Section 4.2, Challenge 3)
   *   - tStatOpPerCand: statistics-engine work per candidate per HistSim
-  *                    iteration (the O(|V_Z| * k) selection of the k + 1
-  *                    closest candidates, the O(touched * |V_X|) tau
-  *                    refresh and the deviation assignment, amortized per
-  *                    candidate)
+  *                    iteration: one sweep that refreshes tau of the
+  *                    candidates touched since the last iteration
+  *                    (O(touched * |V_X|)) and selects the k + 1 closest
+  *                    (O(|V_Z| * k)), then the deviation assignment,
+  *                    amortized per candidate
   *   - syncStallFactor: SyncMatch blocks the sampling engine on a fresh
   *                    {delta_i} before each block decision; the expected
   *                    wait is a fraction of one statistics iteration

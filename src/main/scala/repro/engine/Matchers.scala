@@ -84,6 +84,8 @@ object Matchers {
     val params = CostParams()
     val b = reader.numBlocks
     require(index.numBlocks == b, "index and reader disagree on block count")
+    require(index.nCandidates == task.vz,
+      s"index has ${index.nCandidates} candidates, task has vz=${task.vz}")
     val state = new HistSimState(task.vz, task.target)
     val cost = new Cost
     val sink = new Sink(state, cost, index, b)
@@ -124,7 +126,6 @@ object Matchers {
       if (blocks.nonEmpty) reader.visit(blocks, sink)
 
     def runStats(): Unit = {
-      sink.refreshTau()
       iter = Deviations.iterate(state, task.k, task.eps, task.delta)
       cost.statsIters += 1
       rounds += 1
@@ -159,10 +160,11 @@ object Matchers {
       done = terminated(iter)
       // Safety: a pruning pass that reads nothing can only happen once the
       // criterion holds; guard against pathological livelock regardless.
-      require(totalScanned <= 300L * b, s"matcher did not converge after ${totalScanned / b} passes")
+      if (totalScanned > 300L * b) throw new MatcherLivelock(approach, startBlock, totalScanned / b, sink.readCount)
     }
 
     if (approach == Approach.Scan) runStats() // produce the exact ordering
+    cost.tuplesRead = state.n.sum // every tuple read is one sample
 
     val wall = approach match {
       case Approach.Scan => cost.ioUnits(params)
@@ -175,11 +177,11 @@ object Matchers {
                  cost.statsUnits(params, task.vz))
     }
 
-    // the state is not used after this point, so its arrays are handed over
+    // the state is not used after this point, so its tau is handed over
     RunResult(
       approach = approach.name,
       matching = iter.matching,
-      counts = state.counts,
+      counts = Array.tabulate(task.vz)(state.hist),
       tau = state.tau,
       deltaUpper = if (approach == Approach.Scan) 0.0 else iter.deltaUpper,
       rounds = rounds,
@@ -200,33 +202,30 @@ object Matchers {
   }
 
   /** Takes in the blocks a run reads: adds their counts to the state's
-    * `counts` and `n` and to the cost, marks candidates exact once every
-    * block holding them is read, and lists each candidate touched since
-    * the last statistics iteration once. Allocates nothing per block or
-    * tuple, and assumes no order of a block's triples.
+    * `counts` and `n`, counts the blocks in the cost, marks candidates
+    * exact once every block holding them is read, and marks each candidate
+    * a block holds dirty. Allocates nothing per block or tuple, and
+    * assumes no order of a block's triples.
     */
   private final class Sink(state: HistSimState, cost: Cost, index: BitmapIndex, numBlocks: Int)
       extends BlockVisitor {
     private val vz = state.nCandidates
+    private val vx = state.vx
     private val counts = state.counts
     private val n = state.n
     private val exact = state.exact
+    private val dirty = state.dirty
     val readSet = new java.util.BitSet(numBlocks)
     var readCount = 0
-    // tuples read since the last statistics iteration, not yet in `cost`
-    private var tuples = 0L
 
     // Sampling without replacement: once every block containing candidate
     // z has been read, z's histogram is exact and its deviation is 0.
     private val blocksLeft = Array.tabulate(vz)(index.blockCount)
     // lastBlock(z): the number (1, 2, ...) of the last block read that held
-    // z. z is new to the current block iff lastBlock(z) != blockNo, and new
-    // to the current round iff lastBlock(z) <= roundStart.
+    // z. z is new to the current block iff lastBlock(z) != blockNo.
     private val lastBlock = new Array[Int](vz)
     private var blockNo = 0
-    private var roundStart = 0
-    private val dirty = new Array[Int](vz)
-    private var dirtyLen = 0
+    private var block = -1 // the id of the block being read
 
     { var z = 0; while (z < vz) { if (blocksLeft(z) == 0) exact(z) = true; z += 1 } }
 
@@ -234,32 +233,34 @@ object Matchers {
       readSet.set(b); readCount += 1
       cost.blocksRead += 1
       blockNo += 1
+      block = b
     }
 
     override def triple(z: Int, x: Int, c: Int): Unit = {
-      if (c < 0) negative(z, x, c)
-      counts(z)(x) += c
+      // one sign test: z, x, c and the distances to the upper bounds are >= 0
+      if ((z | x | c | (vz - 1 - z) | (vx - 1 - x)) < 0) bad(z, x, c)
+      counts(z * vx + x) += c
       n(z) += c
-      tuples += c
-      val last = lastBlock(z)
-      if (last != blockNo) {
+      if (lastBlock(z) != blockNo) {
         lastBlock(z) = blockNo
-        if (last <= roundStart) { dirty(dirtyLen) = z; dirtyLen += 1 }
+        dirty(z) = true
         blocksLeft(z) -= 1
         if (blocksLeft(z) == 0) exact(z) = true
       }
     }
 
-    private def negative(z: Int, x: Int, c: Int): Nothing =
-      throw new IllegalArgumentException(s"negative count $c for candidate $z, group $x")
-
-    /** Adds the tuples read to the cost and refreshes tau of the
-      * candidates touched since the last call.
-      */
-    def refreshTau(): Unit = {
-      cost.tuplesRead += tuples; tuples = 0
-      if (dirtyLen > 0) { state.refreshTau(dirty, dirtyLen); dirtyLen = 0 }
-      roundStart = blockNo
-    }
+    private def bad(z: Int, x: Int, c: Int): Nothing =
+      throw new IllegalArgumentException(
+        if (z < 0 || z >= vz || x < 0 || x >= vx)
+          s"block $block: candidate $z, group $x outside [0, $vz) × [0, $vx)"
+        else s"block $block: negative count $c for candidate $z, group $x")
   }
 }
+
+/** A run that made more than 300 passes over the store's blocks without
+  * meeting its stopping rule: a reader that never reports a block read, or
+  * a pruning policy that reads nothing while the criterion fails.
+  */
+final class MatcherLivelock(val approach: Approach, val startBlock: Int, val passes: Long, val readCount: Int)
+    extends RuntimeException(
+      s"${approach.name} from block $startBlock did not converge after $passes passes, $readCount blocks read")

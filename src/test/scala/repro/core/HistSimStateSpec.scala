@@ -20,12 +20,22 @@ class HistSimStateSpec extends AnyFunSuite {
     val s = mkState()
     s.add(1, 0, 5); s.add(1, 2, 3); s.add(2, 1, 7)
     assert(s.n(1) == 8 && s.n(2) == 7 && s.n(0) == 0)
-    assert(s.counts(1).sameElements(Array(5L, 0L, 3L)))
+    assert(s.hist(1).sameElements(Array(5L, 0L, 3L)))
     assert(s.n.sum == 15)
   }
 
   test("add rejects negative counts") {
     intercept[IllegalArgumentException](mkState().add(0, 0, -1))
+  }
+
+  test("add rejects a candidate or group out of range, naming both") {
+    val s = mkState(vz = 4, target = Hist.uniform(3))
+    for ((z, x) <- Seq((4, 0), (-1, 0), (0, 3), (0, -1), (Int.MinValue, 0), (0, Int.MaxValue))) {
+      val e = intercept[IllegalArgumentException](s.add(z, x, 1))
+      assert(e.getMessage.contains(s"candidate $z, group $x"), e.getMessage)
+    }
+    // nothing landed in a neighbour's histogram
+    assert(s.counts.forall(_ == 0L) && s.n.forall(_ == 0L))
   }
 
   test("refreshTau only updates touched candidates") {
@@ -74,22 +84,32 @@ class HistSimStateSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](new HistSimState(3, Array.empty[Double]))
   }
 
-  test("refreshTau over an array prefix agrees with the Iterable overload") {
+  test("iterate refreshes exactly the candidates added since the previous iterate") {
     val rng = new java.util.Random(13)
     val target = Hist.normalize(Array(1.0, 2.0, 3.0, 4.0))
-    val a = mkState(vz = 20, target = target)
-    val b = mkState(vz = 20, target = target)
-    for (_ <- 0 until 300) {
-      val z = rng.nextInt(20); val x = rng.nextInt(4); val c = 1 + rng.nextInt(5)
-      a.add(z, x, c); b.add(z, x, c)
-    }
-    a.add(12, 0, 1); b.add(12, 0, 1); a.add(5, 1, 1); b.add(5, 1, 1)
-    val touched = Array(3, 0, 17, 9, 12, 5)
-    val len = 4 // entries past len must not be refreshed
-    a.refreshTau(touched, len)
-    b.refreshTau(touched.take(len).toSeq)
-    assert(a.tau.indices.forall(z => java.lang.Double.compare(a.tau(z), b.tau(z)) == 0))
-    val unsampled = mkState(vz = 1, target = target).tau(0)
-    assert(a.tau(12) == unsampled && a.tau(5) == unsampled)
+    val s = mkState(vz = 20, target = target)
+    for (_ <- 0 until 300) s.add(rng.nextInt(20), rng.nextInt(4), 1 + rng.nextInt(5))
+    Deviations.iterate(s, 3, 0.1, 0.01)
+    assert(!s.dirty.exists(identity))
+    val fresh = s.tau.clone()
+    // poison every tau: only the candidates added to next may change
+    java.util.Arrays.fill(s.tau, -1.0)
+    s.add(12, 0, 1); s.add(5, 1, 0); s.add(12, 3, 2)
+    assert(s.dirty.indices.filter(s.dirty).toSet == Set(5, 12))
+    Deviations.iterate(s, 3, 0.1, 0.01)
+    assert(!s.dirty.exists(identity))
+    val refreshed = s.tau.indices.filter(z => s.tau(z) != -1.0).toSet
+    assert(refreshed == Set(5, 12))
+    assert(java.lang.Double.compare(s.tau(5), fresh(5)) == 0)
+    assert(java.lang.Double.compare(s.tau(12), Hist.dist(s.hist(12), target)) == 0)
+  }
+
+  test("refreshAllTau and refreshTau clear the dirty marks of the candidates they refresh") {
+    val s = mkState(vz = 5)
+    (0 until 5).foreach(z => s.add(z, z % 3, 1 + z))
+    s.refreshTau(Seq(1, 3))
+    assert(s.dirty.sameElements(Array(true, false, true, false, true)))
+    s.refreshAllTau()
+    assert(!s.dirty.exists(identity))
   }
 }

@@ -80,6 +80,21 @@ class HistSpec extends AnyFunSuite {
     }
   }
 
+  test("dist over a slice is bit-equal to dist over the histogram, past 2^52 included") {
+    val rng = new java.util.Random(17)
+    for (vx <- Seq(1, 2, 3, 17, 300); _ <- 0 until 20) {
+      val counts = Array.fill(vx)(if (rng.nextInt(3) == 0) 0L else rng.nextInt(1000000).toLong)
+      val target = Hist.normalize(Array.fill(vx)(rng.nextDouble() + 1e-3))
+      for (c <- Seq(counts, new Array[Long](vx), counts.map(_ + (1L << 40)), counts.map(_ + (1L << 52) / vx))) {
+        val from = rng.nextInt(5)
+        val flat = Array.fill(from)(rng.nextLong()) ++ c ++ Array.fill(3)(rng.nextLong())
+        val want = Hist.l1(Hist.normalize(c), target)
+        assert(java.lang.Double.compare(Hist.dist(flat, from, c.sum, target), want) == 0,
+          s"vx=$vx counts=${c.mkString(",")}")
+      }
+    }
+  }
+
   test("dist rejects length mismatch") {
     intercept[IllegalArgumentException](Hist.dist(Array(1L), Array(0.5, 0.5)))
   }

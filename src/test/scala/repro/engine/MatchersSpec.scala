@@ -272,6 +272,45 @@ class MatchersSpec extends AnyFunSuite {
     }
   }
 
+  test("an index with more or fewer candidates than the task fails at the call") {
+    val (reader, index, truth, _) = standardSetup()
+    val vz = truth.hists.length
+    def resized(n: Int) = new BitmapIndex(Array.tabulate(n)(z =>
+      if (z < vz) index.bitmaps(z) else new java.util.BitSet(reader.numBlocks)), reader.numBlocks)
+    for (n <- Seq(vz - 1, vz + 1)) {
+      val e = intercept[IllegalArgumentException](Matchers.run(Approach.FastMatch, task(truth), reader, resized(n), 0))
+      assert(e.getMessage.contains(s"index has $n candidates"), e.getMessage)
+    }
+  }
+
+  test("a reader yielding a candidate or group out of range fails, naming block, z and x") {
+    val (toy, index, truth, _) = standardSetup()
+    val vz = truth.hists.length; val vx = truth.target.length
+    for ((z, x) <- Seq((vz, 0), (-1, 0), (0, vx), (0, -1)); app <- Approach.all) {
+      val bad = new BlockReader {
+        override def numBlocks: Int = toy.numBlocks
+        override def read(blocks: Array[Int]): Array[Array[(Int, Int, Int)]] =
+          toy.read(blocks).map(rows => rows :+ ((z, x, 1)))
+      }
+      val e = intercept[IllegalArgumentException](Matchers.run(app, task(truth), bad, index, 5))
+      assert(e.getMessage.contains(s"block 5: candidate $z, group $x"), s"$app: ${e.getMessage}")
+    }
+  }
+
+  test("a reader that never reports a block read fails with MatcherLivelock") {
+    val (toy, index, truth, _) = standardSetup()
+    val stuck = new BlockReader {
+      override def numBlocks: Int = toy.numBlocks
+      override def read(blocks: Array[Int]): Array[Array[(Int, Int, Int)]] = toy.read(blocks)
+      override def visit(blocks: Array[Int], visitor: BlockVisitor): Unit = ()
+    }
+    for (app <- Approach.all) {
+      val e = intercept[MatcherLivelock](Matchers.run(app, task(truth), stuck, index, 9))
+      assert(e.approach == app && e.startBlock == 9 && e.readCount == 0, e.getMessage)
+      assert(e.passes >= 300, e.getMessage)
+    }
+  }
+
   test("MatchTask rejects bad input where it is built") {
     val q = Array(0.25, 0.25, 0.5)
     MatchTask(4, 3, 2, 0.1, 0.05, q) // valid
