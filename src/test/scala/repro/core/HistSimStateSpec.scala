@@ -84,6 +84,32 @@ class HistSimStateSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](new HistSimState(3, Array.empty[Double]))
   }
 
+  test("refreshTau over an array prefix agrees with the Iterable overload") {
+    // the refresh over the flat counts array is iterate's fused pass: after
+    // adds to the candidates in a prefix of `touched`, it must give them,
+    // bit for bit, the tau that the Iterable overload gives
+    val rng = new java.util.Random(13)
+    val target = Hist.normalize(Array(1.0, 2.0, 3.0, 4.0))
+    val a = mkState(vz = 20, target = target)
+    val b = mkState(vz = 20, target = target)
+    for (_ <- 0 until 300) {
+      val z = rng.nextInt(20); val x = rng.nextInt(4); val c = 1 + rng.nextInt(5)
+      a.add(z, x, c); b.add(z, x, c)
+    }
+    Deviations.iterate(a, 3, 0.1, 0.01)
+    b.refreshTau(0 until 20)
+    assert(a.tau.indices.forall(z => java.lang.Double.compare(a.tau(z), b.tau(z)) == 0))
+    val touched = Array(3, 0, 17, 9, 12, 5)
+    val len = 4 // entries past len get no adds, so neither state may change their tau
+    val before12 = a.tau(12); val before5 = a.tau(5)
+    for (i <- 0 until len) { a.add(touched(i), i % 4, 1 + i); b.add(touched(i), i % 4, 1 + i) }
+    Deviations.iterate(a, 3, 0.1, 0.01)
+    b.refreshTau(touched.take(len).toSeq)
+    assert(a.tau.indices.forall(z => java.lang.Double.compare(a.tau(z), b.tau(z)) == 0))
+    assert(!a.dirty.exists(identity) && !b.dirty.exists(identity))
+    assert(a.tau(12) == before12 && a.tau(5) == before5)
+  }
+
   test("iterate refreshes exactly the candidates added since the previous iterate") {
     val rng = new java.util.Random(13)
     val target = Hist.normalize(Array(1.0, 2.0, 3.0, 4.0))
