@@ -20,8 +20,8 @@ trait BlockVisitor {
   *  - [[SparkRoundReader]] issues one distributed DataFrame aggregation
   *    per requested batch of blocks (the online-sampling path: each
   *    HistSim round is a real sample-then-aggregate Spark job);
-  *  - [[PrefetchedCounts]] runs a single shuffle-free Spark scan up
-  *    front, counts (block, z, x) on the driver and serves blocks from
+  *  - [[PrefetchedCounts]] runs a single shuffle-free Spark scan of
+  *    Catalyst rows up front, counts (block, z, x) on the driver and serves blocks from
   *    driver memory, enabling the fine-grained (per-4KiB-block)
   *    simulation the benchmarks need without paying per-round Spark job
   *    latency.
@@ -108,35 +108,39 @@ final class PrefetchedCounts private (
     }
   }
 
-  /** Every CSR entry as (block, z, x), block by block. */
-  def allTriples: Iterator[(Int, Int, Int)] =
-    Iterator.range(0, numBlocks).flatMap { b =>
-      Iterator.range(offsets(b), offsets(b + 1)).map(i => (b, zArr(i), xArr(i)))
+  /** Every CSR entry as (block, z, x), block by block. One small iterator
+    * with no inner iterators or closures, so that a caller's `while` loop
+    * over it can be compiled without the tuples and boxes.
+    */
+  def allTriples: Iterator[(Int, Int, Int)] = new Iterator[(Int, Int, Int)] {
+    private var b = 0
+    private var i = 0
+    override def hasNext: Boolean = i < zArr.length
+    override def next(): (Int, Int, Int) = {
+      if (i >= zArr.length) throw new NoSuchElementException("no CSR entry left")
+      while (offsets(b + 1) <= i) b += 1
+      val t = (b, zArr(i), xArr(i))
+      i += 1
+      t
     }
+  }
 }
 
 object PrefetchedCounts {
 
-  /** One Spark job with no shuffle. Each partition ships its (block, z, x)
-    * rows as three primitive arrays; the driver counts them in
-    * [[fromTriples]]. At 64 tuples per block nearly every (block, z, x)
-    * occurs once, so a Spark aggregation would shuffle about as many rows
-    * as it reads and save nothing.
-    *
-    * The three columns are read as a typed `Dataset[(Int, Int, Int)]`: a
-    * null fails when its row is deserialized, and a column that does not
-    * up-cast to `Int` (a `Long` one, say) fails at analysis, naming it.
+  /** One Spark job with no shuffle ([[IntColumns.scan]]). Each partition
+    * ships its (block, z, x) rows as three primitive arrays; the driver
+    * counts them in [[fromTriples]]. At 64 tuples per block nearly every
+    * (block, z, x) occurs once, so a Spark aggregation would shuffle about
+    * as many rows as it reads and save nothing.
     */
   def build(df: DataFrame, zCol: String, xCol: String, blockCol: String,
             numBlocks: Int): PrefetchedCounts = {
-    import df.sparkSession.implicits._
-    val parts = df.select(col(blockCol), col(zCol), col(xCol)).as[(Int, Int, Int)]
-      .mapPartitions { rows =>
-        val bs = new ArrayBuilder.ofInt; val zs = new ArrayBuilder.ofInt; val xs = new ArrayBuilder.ofInt
-        rows.foreach { r => bs += r._1; zs += r._2; xs += r._3 }
-        Iterator.single((bs.result(), zs.result(), xs.result()))
-      }
-      .collect()
+    val parts = IntColumns.scan(df, Seq(blockCol, zCol, xCol)) { rows =>
+      val bs = new ArrayBuilder.ofInt; val zs = new ArrayBuilder.ofInt; val xs = new ArrayBuilder.ofInt
+      while (rows.next()) { bs += rows(0); zs += rows(1); xs += rows(2) }
+      (bs.result(), zs.result(), xs.result())
+    }
     val n = asInt(parts.iterator.map(_._1.length.toLong).sum)
     val blocks = new Array[Int](n); val zs = new Array[Int](n); val xs = new Array[Int](n)
     var at = 0

@@ -1,57 +1,45 @@
 package repro.engine
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.Checked.asInt
 import repro.core.Hist
 import repro.data.{Dataset, QuerySpec, TargetSpec}
 
-/** Exact full-data answers, computed with Spark aggregations. These serve
+/** Exact full-data answers, from one Spark scan per query. These serve
   * three roles: (1) the Scan baseline's output, (2) the reference for
   * guarantee checking and the Delta_d error metric, (3) resolution of
   * "closest candidate to uniform" targets (Table 3).
   */
 object GroundTruth {
 
-  /** True histogram counts for every candidate: dense vz x vx matrix from
-    * a single GROUP BY (Definition 1's query, for all z at once).
+  /** True histogram counts for every candidate, as a dense vz x vx matrix
+    * (Definition 1's query, for all z at once). One Spark job with no
+    * shuffle: each partition counts its (z, x) rows into a dense array and
+    * the driver adds up the partial arrays. A null, a non-integral column
+    * or a z or x out of range fails here, naming the column or value.
     */
   def histograms(df: DataFrame, zCol: String, xCol: String, vz: Int, vx: Int): Array[Array[Long]] = {
-    val rows = df.groupBy(col(zCol), col(xCol)).count().collect()
-    val out = Array.fill(vz)(new Array[Long](vx))
-    rows.foreach { r =>
-      val z = asInt(r.get(0)); val x = asInt(r.get(1))
-      require(z >= 0 && z < vz, s"z=$z out of [0,$vz)")
-      require(x >= 0 && x < vx, s"x=$x out of [0,$vx)")
-      out(z)(x) = r.getLong(2)
+    require(vz >= 1 && vx >= 1, s"histograms need vz >= 1 and vx >= 1, got $vz x $vx")
+    val cells = Math.multiplyExact(vz, vx)
+    val parts = IntColumns.scan(df, Seq(zCol, xCol)) { rows =>
+      val counts = new Array[Long](cells)
+      while (rows.next()) {
+        val z = rows(0); val x = rows(1)
+        if (z < 0 || z >= vz) rows.fail(s"z=$z out of [0,$vz)")
+        else if (x < 0 || x >= vx) rows.fail(s"x=$x out of [0,$vx)")
+        else counts(z * vx + x) += 1
+      }
+      counts
     }
-    out
+    val total = new Array[Long](cells)
+    for (p <- parts) {
+      var i = 0
+      while (i < cells) { total(i) += p(i); i += 1 }
+    }
+    Array.tabulate(vz)(z => java.util.Arrays.copyOfRange(total, z * vx, (z + 1) * vx))
   }
 
-  /** l1 distances of every candidate's normalized histogram from a target
-    * distribution, computed as a DataFrame aggregation: per-candidate
-    * group proportions via a windowed total, joined with the target,
-    * then sum(abs(p - q)) per candidate. Groups with zero count
-    * contribute q_x (|0 - q_x|), handled by summing q over *observed*
-    * groups and adding (1 - that sum) once per candidate.
-    */
-  def distancesDF(spark: SparkSession, df: DataFrame, zCol: String, xCol: String,
-                  target: Array[Double]): DataFrame = {
-    import spark.implicits._
-    val targetDf = target.zipWithIndex.map { case (q, x) => (x, q) }.toSeq.toDF("x", "q")
-    val counts = df.groupBy(col(zCol).as("z"), col(xCol).as("x")).agg(count(lit(1)).as("c"))
-    val totals = counts.groupBy($"z").agg(sum($"c").as("total"))
-    counts
-      .join(totals, "z")
-      .join(targetDf, "x")
-      .groupBy($"z")
-      .agg(
-        (sum(abs($"c" / $"total" - $"q")) + (lit(1.0) - sum($"q"))).as("dist")
-      )
-  }
-
-  /** Driver-side distances from precomputed histograms (same result as
-    * [[distancesDF]]; cross-checked in tests).
+  /** l1 distances of every candidate's normalized histogram from a
+    * target distribution.
     */
   def distances(hists: Array[Array[Long]], target: Array[Double]): Array[Double] =
     hists.map(h => Hist.dist(h, target))

@@ -92,11 +92,16 @@ object BitmapIndex {
   }
 
   /** Build from driver-side per-block counts (used when counts were
-    * already prefetched; must agree with [[build]] — tested).
+    * already prefetched; must agree with [[build]] — tested). A `while`
+    * loop over the iterator, so that the JIT can drop each entry's tuple
+    * once `next` is inlined.
     */
   def fromBlockTriples(triples: Iterator[(Int, Int, Int)], vz: Int, numBlocks: Int): BitmapIndex = {
     val words = empty(vz, numBlocks)
-    triples.foreach { case (block, z, _) => set(words, z, block, numBlocks) }
+    while (triples.hasNext) {
+      val t = triples.next()
+      set(words, t._2, t._1, numBlocks)
+    }
     new BitmapIndex(numBlocks, words)
   }
 }

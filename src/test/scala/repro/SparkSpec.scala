@@ -1,8 +1,12 @@
 package repro
 
+import java.util.UUID
+import org.apache.spark.JobExecutionStatus
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
+import org.scalatest.concurrent.Eventually._
 import org.scalatest.funsuite.AnyFunSuite
+import org.scalatest.time.SpanSugar._
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
@@ -16,6 +20,28 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** The Spark jobs `body` runs, as each job's number of stages, in job
+    * order. The jobs run in a job group of their own; a marker job in a
+    * second group runs after them, and once the status tracker shows it
+    * finished, it has seen every event of `body`'s jobs.
+    */
+  def stagesPerJob(body: => Any): Seq[Int] = {
+    val sc = spark.sparkContext
+    val group = s"counted-${UUID.randomUUID()}"
+    def inGroup(g: String)(f: => Any): Unit = {
+      sc.setJobGroup(g, g)
+      try f finally sc.clearJobGroup()
+    }
+    inGroup(group)(body)
+    inGroup(s"$group-marker")(sc.parallelize(Seq(1), 1).count())
+    val tracker = sc.statusTracker
+    eventually(timeout(30.seconds), interval(20.millis)) {
+      val marker = tracker.getJobIdsForGroup(s"$group-marker").flatMap(tracker.getJobInfo)
+      assert(marker.exists(_.status == JobExecutionStatus.SUCCEEDED))
+    }
+    tracker.getJobIdsForGroup(group).sorted.toSeq.map(id => tracker.getJobInfo(id).get.stageIds.length)
+  }
 }
 
 object SparkSpec {

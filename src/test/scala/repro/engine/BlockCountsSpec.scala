@@ -81,6 +81,7 @@ class BlockCountsSpec extends SparkSpec {
     assert(wide.read(Array.range(numBlocks, numBlocks + 5)).forall(_.isEmpty))
     val all = Array.range(0, numBlocks)
     assert(wide.read(all).map(_.toSeq).toSeq == prefetched.read(all).map(_.toSeq).toSeq)
+    assert(wide.allTriples.toSeq == prefetched.allTriples.toSeq)
   }
 
   test("build rejects bad input where it enters") {
@@ -90,12 +91,30 @@ class BlockCountsSpec extends SparkSpec {
     val neg = intercept[IllegalArgumentException](PrefetchedCounts.build(negZ, "z", "x", "block", numBlocks))
     assert(neg.getMessage.contains("negative z -2 in block 3"))
     val nullZ = df.withColumn("z", when(col("block") === 3, lit(null)).otherwise(col("z")))
-    val nul = intercept[RuntimeException](PrefetchedCounts.build(nullZ, "z", "x", "block", numBlocks))
-    assert(nul.getMessage.contains("[NOT_NULL_ASSERT_VIOLATION] NULL value appeared in non-nullable field"), nul.getMessage)
+    val nul = intercept[IllegalArgumentException](PrefetchedCounts.build(nullZ, "z", "x", "block", numBlocks))
+    assert(nul.getMessage.contains("null in column z"), nul.getMessage)
     // a Long column is not narrowed: it fails at analysis, naming the column
     val longZ = df.withColumn("z", col("z").cast("long"))
     val asLong = intercept[AnalysisException](PrefetchedCounts.build(longZ, "z", "x", "block", numBlocks))
     assert(asLong.getMessage.contains("Cannot up cast z from \"BIGINT\" to \"INT\""), asLong.getMessage)
+  }
+
+  test("Short and Byte columns build the same CSR as Int ones") {
+    val all = Array.range(0, numBlocks)
+    for (t <- Seq("short", "byte")) {
+      assert(numBlocks <= Byte.MaxValue)
+      val narrow = Seq("block", "z", "x").foldLeft(df)((d, c) => d.withColumn(c, col(c).cast(t)))
+      val pc = PrefetchedCounts.build(narrow, "z", "x", "block", numBlocks)
+      assert(pc.read(all).map(_.toSeq).toSeq == prefetched.read(all).map(_.toSeq).toSeq, t)
+      // widened with its sign: a negative value stays negative and is rejected
+      val negZ = narrow.withColumn("z", when(col("block") === 3, lit(-2).cast(t)).otherwise(col("z")))
+      val neg = intercept[IllegalArgumentException](PrefetchedCounts.build(negZ, "z", "x", "block", numBlocks))
+      assert(neg.getMessage.contains("negative z -2 in block 3"), t)
+    }
+  }
+
+  test("build runs one Spark job with one stage, so no shuffle") {
+    assert(stagesPerJob(PrefetchedCounts.build(df, "z", "x", "block", numBlocks)) == Seq(1))
   }
 
   test("SparkRoundReader and PrefetchedCounts agree on arbitrary batches") {

@@ -1,5 +1,6 @@
 package repro.engine
 
+import org.apache.spark.sql.{AnalysisException, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.Hist
@@ -20,11 +21,15 @@ class GroundTruthSpec extends SparkSpec {
   ), seed = 31)
 
   test("histograms: dense matrix matches DuckDB group counts") {
-    val hists = GroundTruth.histograms(df, "z", "x", 4, 3)
-    assert(hists.map(_.sum).sameElements(Array(3000L, 2000L, 1000L, 500L)))
-    val got = df.groupBy("z", "x").agg(count(lit(1)).as("c"))
-    Oracle.assertEquivalent(got,
-      "SELECT z, x, COUNT(*) AS c FROM t GROUP BY z, x", "t" -> df.select("z", "x"))
+    // the repartitioned frame makes the driver merge several partitions' counts
+    for ((what, frame) <- Seq("df" -> df, "repartitioned" -> df.repartition(7))) {
+      val hists = GroundTruth.histograms(frame, "z", "x", 4, 3)
+      assert(hists.map(_.sum).sameElements(Array(3000L, 2000L, 1000L, 500L)), what)
+      // every non-zero cell, compared with DuckDB's groups: a cell DuckDB lacks must be zero
+      val cells = for (z <- 0 until 4; x <- 0 until 3 if hists(z)(x) > 0) yield (z, x, hists(z)(x))
+      Oracle.assertEquivalent(spark.createDataFrame(cells).toDF("z", "x", "c"),
+        "SELECT z, x, COUNT(*) AS c FROM t GROUP BY z, x", "t" -> df.select("z", "x"))
+    }
   }
 
   test("histograms: missing (z, x) cells are zero") {
@@ -41,7 +46,7 @@ class GroundTruthSpec extends SparkSpec {
     val target = Array(0.4, 0.3, 0.3)
     val hists = GroundTruth.histograms(df, "z", "x", 4, 3)
     val expected = GroundTruth.distances(hists, target)
-    val got = GroundTruth.distancesDF(spark, df, "z", "x", target).collect()
+    val got = SparkDistances.distancesDF(spark, df, "z", "x", target).collect()
       .map(r => r.getInt(0) -> r.getDouble(1)).toMap
     for (z <- 0 until 4)
       assert(math.abs(got(z) - expected(z)) < 1e-9, s"z=$z got=${got(z)} want=${expected(z)}")
@@ -53,7 +58,7 @@ class GroundTruthSpec extends SparkSpec {
       CondCol("x", "z", Array(Array(1.0, 1e-12)), 1), // group 1 ~never drawn
     ), seed = 6)
     val target = Array(0.5, 0.5)
-    val got = GroundTruth.distancesDF(spark, df2, "z", "x", target).collect()
+    val got = SparkDistances.distancesDF(spark, df2, "z", "x", target).collect()
     assert(got.length == 1)
     // |1 - 0.5| + |0 - 0.5| = 1.0
     assert(math.abs(got(0).getDouble(1) - 1.0) < 1e-9)
@@ -61,7 +66,7 @@ class GroundTruthSpec extends SparkSpec {
 
   test("oracle: the L1-distance SQL agrees between Spark and DuckDB") {
     val target = Array(0.4, 0.3, 0.3)
-    val sparkDist = GroundTruth.distancesDF(spark, df, "z", "x", target)
+    val sparkDist = SparkDistances.distancesDF(spark, df, "z", "x", target)
       .select(col("z"), round(col("dist"), 6).as("dist"))
     val targetSql = "SELECT 0 AS x, 0.4 AS q UNION ALL SELECT 1, 0.3 UNION ALL SELECT 2, 0.3"
     Oracle.assertEquivalent(sparkDist,
@@ -77,6 +82,27 @@ class GroundTruthSpec extends SparkSpec {
          |GROUP BY counts.z
          |""".stripMargin,
       "t" -> df.select("z", "x"))
+  }
+
+  test("histograms: one Spark job with one stage, so no shuffle") {
+    assert(stagesPerJob(GroundTruth.histograms(df, "z", "x", 4, 3)) == Seq(1))
+  }
+
+  test("histograms: rejects bad input on the driver, naming the value or column") {
+    def reject(frame: DataFrame, vz: Int, vx: Int, msg: String): Unit = {
+      val e = intercept[IllegalArgumentException](GroundTruth.histograms(frame, "z", "x", vz, vx))
+      assert(e.getMessage.contains(msg), e.getMessage)
+    }
+    reject(df, 3, 3, "z=3 out of [0,3)")
+    reject(df, 4, 2, "x=2 out of [0,2)")
+    reject(df.withColumn("z", when(col("id") === 17, lit(-1)).otherwise(col("z"))), 4, 3, "z=-1 out of [0,4)")
+    reject(df.withColumn("x", when(col("id") === 17, lit(null)).otherwise(col("x"))), 4, 3, "null in column x")
+    reject(df.withColumn("z", col("z").cast("double")), 4, 3, "column z is DOUBLE, not an integral type")
+    reject(df.withColumn("x", col("x").cast("string")), 4, 3, "column x is STRING, not an integral type")
+    // a Long column is not narrowed: it fails at analysis, naming the column
+    val asLong = intercept[AnalysisException](
+      GroundTruth.histograms(df.withColumn("z", col("z").cast("long")), "z", "x", 4, 3))
+    assert(asLong.getMessage.contains("Cannot up cast z from \"BIGINT\" to \"INT\""), asLong.getMessage)
   }
 
   test("resolveTarget: Explicit normalizes and validates length") {
