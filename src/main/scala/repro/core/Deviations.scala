@@ -56,7 +56,7 @@ object Deviations {
     val tau = state.tau; val dirty = state.dirty
     val counts = state.counts; val n = state.n; val target = state.target; val vx = state.vx
     // Every candidate offered before z already has its final tau, so the
-    // selection is that of `smallest` over the refreshed taus.
+    // selection is the prefix of a stable sort of the refreshed taus.
     val order = new Array[Int](math.min(kk + 1, nz))
     var len = 0
     var z = 0
@@ -80,9 +80,11 @@ object Deviations {
     while (m < kk) { inM(matching(m)) = true; m += 1 }
 
     val lowerFence = if (splitPoint.isNaN) 0.0 else math.max(splitPoint - eps / 2.0, 0.0)
+    val activeThreshold = delta / nz
+    var sum = 0.0; var max = 0.0
     var i = 0
     while (i < nz) {
-      epsOut(i) =
+      val e =
         if (inM(i)) {
           // Constraint 2 (reconstruction) caps at eps; constraint 1
           // caps at s + eps/2 - tau_i. With no split (all candidates
@@ -92,38 +94,16 @@ object Deviations {
         } else {
           math.max(0.0, tau(i) - lowerFence)
         }
-      deltaOut(i) =
-        if (state.exact(i)) 0.0
-        else Bounds.deltaFor(n(i), epsOut(i), vx)
-      i += 1
-    }
-
-    var sum = 0.0; var max = 0.0
-    val activeThreshold = delta / nz
-    i = 0
-    while (i < nz) {
-      sum += deltaOut(i)
-      if (deltaOut(i) > max) max = deltaOut(i)
-      active(i) = deltaOut(i) > activeThreshold
+      val d = if (state.exact(i)) 0.0 else Bounds.deltaFor(n(i), e, vx)
+      epsOut(i) = e
+      deltaOut(i) = d
+      sum += d
+      if (d > max) max = d
+      active(i) = d > activeThreshold
       i += 1
     }
 
     Iteration(matching, epsOut, deltaOut, sum, max, active, splitPoint)
-  }
-
-  /** Indices of the `m` smallest entries of `tau`, ordered by
-    * `java.lang.Double.compare` and then by lower index: exactly the first
-    * `m` entries of `Array.range(0, tau.length).sortBy(tau)`, which is a
-    * stable sort. Insertion into a sorted prefix, O(tau.length * m).
-    */
-  def smallest(tau: Array[Double], m: Int): Array[Int] = {
-    require(m >= 0 && m <= tau.length, s"m=$m out of [0, ${tau.length}]")
-    val out = new Array[Int](m)
-    if (m == 0) return out
-    var len = 0
-    var i = 0
-    while (i < tau.length) { len = offer(tau, out, len, i); i += 1 }
-    out
   }
 
   /** Offers index i to `out(0 until len)`, the indices of the smallest

@@ -150,11 +150,9 @@ object Workloads {
     }
   }
 
-  def flights(spark: SparkSession, sf: Double, seed: Long = 11): Dataset = {
-    val freq = flightsFreq(sf)
-    val rows = freq.sum
-    val specs = Seq(
-      RangeCol("origin", freq),
+  def flights(spark: SparkSession, sf: Double, seed: Long = 11): Dataset =
+    generate(spark, "FLIGHTS", seed,
+      RangeCol("origin", flightsFreq(sf)),
       CondCol("dep_hour", "origin", flightsDepHour, 1),
       CondCol("day_of_week", "origin", flightsDayOfWeek, 2),
       CondCol("dest", "origin", flightsDest, 3),
@@ -162,10 +160,6 @@ object Workloads {
       NumCol("arr_delay", -20, 200, 5),
       NumCol("day_of_month", 1, 31, 6),
     )
-    val (df, nb) = Gen.withBlocks(Gen.dataset(spark, specs, seed), rows, TuplesPerBlock, seed + 100)
-    Dataset("FLIGHTS", df, rows, nb,
-      Map("origin" -> FlightsVz, "dep_hour" -> 24, "day_of_week" -> 7, "dest" -> FlightsVz))
-  }
 
   // ------------------------------------------------------------------
   // TAXI: |Location| = 2000; X in {HourOfDay(24), MonthOfYear(12)}.
@@ -199,11 +193,9 @@ object Workloads {
   def taxiHour: Array[Array[Double]] = taxiDists(24)
   def taxiMonth: Array[Array[Double]] = taxiDists(12)
 
-  def taxi(spark: SparkSession, sf: Double, seed: Long = 22): Dataset = {
-    val freq = taxiFreq(sf)
-    val rows = freq.sum
-    val specs = Seq(
-      RangeCol("location", freq),
+  def taxi(spark: SparkSession, sf: Double, seed: Long = 22): Dataset =
+    generate(spark, "TAXI", seed,
+      RangeCol("location", taxiFreq(sf)),
       CondCol("hour_of_day", "location", taxiHour, 1),
       CondCol("month_of_year", "location", taxiMonth, 2),
       NumCol("trip_time", 1, 120, 3),
@@ -211,10 +203,6 @@ object Workloads {
       NumCol("passengers", 1, 6, 5),
       NumCol("fare", 2.5, 200, 6),
     )
-    val (df, nb) = Gen.withBlocks(Gen.dataset(spark, specs, seed), rows, TuplesPerBlock, seed + 100)
-    Dataset("TAXI", df, rows, nb,
-      Map("location" -> TaxiVz, "hour_of_day" -> 24, "month_of_year" -> 12))
-  }
 
   // ------------------------------------------------------------------
   // POLICE: |RoadID| = 191 (q1: Contraband(2), q2: OfficerRace(5));
@@ -269,11 +257,9 @@ object Workloads {
     Array(b, 1.0 - b)
   }
 
-  def police(spark: SparkSession, sf: Double, seed: Long = 33): Dataset = {
-    val freq = policeFreq(sf)
-    val rows = freq.sum
-    val specs = Seq(
-      RangeCol("road_id", freq),
+  def police(spark: SparkSession, sf: Double, seed: Long = 33): Dataset =
+    generate(spark, "POLICE", seed,
+      RangeCol("road_id", policeFreq(sf)),
       CondCol("contraband", "road_id", policeContraband, 1),
       CondCol("officer_race", "road_id", policeRace, 2),
       IidCol("violation", policeViolationWeights, 3),
@@ -284,10 +270,23 @@ object Workloads {
       NumCol("search_conducted", 0, 2, 8),
       NumCol("stop_outcome", 0, 5, 9),
     )
+
+  /** Generates the columns `range +: cols` with [[Gen.dataset]], assigns
+    * the rows to blocks of [[TuplesPerBlock]], and takes each categorical
+    * column's cardinality from its spec: the number of values a column
+    * can take is its frequency, distribution or weight vector's width.
+    */
+  private def generate(spark: SparkSession, name: String, seed: Long,
+                       range: RangeCol, cols: ColSpec*): Dataset = {
+    val specs = range +: cols
+    val rows = range.freq.sum
     val (df, nb) = Gen.withBlocks(Gen.dataset(spark, specs, seed), rows, TuplesPerBlock, seed + 100)
-    Dataset("POLICE", df, rows, nb,
-      Map("road_id" -> PoliceVz, "contraband" -> 2, "officer_race" -> 5,
-          "violation" -> PoliceViolations, "driver_gender" -> 2))
+    val cards = specs.collect {
+      case RangeCol(c, freq)       => c -> freq.length
+      case CondCol(c, _, dists, _) => c -> dists.map(_.length).max
+      case IidCol(c, weights, _)   => c -> weights.length
+    }
+    Dataset(name, df, rows, nb, cards.toMap)
   }
 
   // ------------------------------------------------------------------

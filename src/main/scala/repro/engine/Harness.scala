@@ -54,6 +54,7 @@ object Harness {
     * run i starts where `new Random(7 + i)` points), and score guarantees / Delta_d against ground truth.
     */
   def benchQuery(ctx: QueryContext, runs: Int): QueryBench = {
+    require(runs >= 1, s"runs must be >= 1, got $runs")
     val b = ctx.reader.numBlocks
     val starts = Array.tabulate(runs)(i => new java.util.Random(7L + i).nextInt(b))
 

@@ -122,9 +122,6 @@ object Matchers {
       java.util.Arrays.copyOf(chunkBuf, n)
     }
 
-    def readBlocks(blocks: Array[Int]): Unit =
-      if (blocks.nonEmpty) reader.visit(blocks, sink)
-
     def runStats(): Unit = {
       iter = Deviations.iterate(state, task.k, task.eps, task.delta)
       cost.statsIters += 1
@@ -134,29 +131,15 @@ object Matchers {
     var done = terminated(iter)
     while (!done && sink.readCount < b) {
       val chunk = collectChunk()
-      approach match {
-        case Approach.Scan | Approach.ScanMatch | Approach.SlowMatch =>
-          cost.blocksConsidered += chunk.length
-          readBlocks(chunk)
-          if (approach != Approach.Scan) runStats()
-
-        case Approach.SyncMatch =>
-          // per-block AnyActive with (simulation-granular) fresh deltas
-          val mark = new Array[Boolean](chunk.length)
-          var i = 0
-          while (i < chunk.length) {
-            cost.blocksConsidered += 1
-            mark(i) = Policies.syncAnyActive(index, iter.active, chunk(i), cost)
-            i += 1
-          }
-          readBlocks(marked(chunk, mark))
-          runStats()
-
-        case Approach.FastMatch =>
-          cost.blocksConsidered += chunk.length
-          readBlocks(marked(chunk, Policies.lookaheadAnyActive(index, iter.active, chunk, cost)))
-          runStats()
+      cost.blocksConsidered += chunk.length
+      // AnyActive: Algorithm 2 per block, or Algorithm 3 over the chunk
+      val toRead = approach match {
+        case Approach.SyncMatch => chunk.filter(Policies.syncAnyActive(index, iter.active, _, cost))
+        case Approach.FastMatch => Policies.lookaheadAnyActive(index, iter.active, chunk, cost)
+        case _                  => chunk
       }
+      if (toRead.nonEmpty) reader.visit(toRead, sink)
+      if (approach != Approach.Scan) runStats()
       done = terminated(iter)
       // Safety: a pruning pass that reads nothing can only happen once the
       // criterion holds; guard against pathological livelock regardless.
@@ -188,17 +171,6 @@ object Matchers {
       cost = cost,
       simTime = wall,
     )
-  }
-
-  /** The blocks whose mark is set, in order (compacts `blocks` in place). */
-  private def marked(blocks: Array[Int], mark: Array[Boolean]): Array[Int] = {
-    var n = 0
-    var i = 0
-    while (i < blocks.length) {
-      if (mark(i)) { blocks(n) = blocks(i); n += 1 }
-      i += 1
-    }
-    java.util.Arrays.copyOf(blocks, n)
   }
 
   /** Takes in the blocks a run reads: adds their counts to the state's

@@ -33,9 +33,9 @@ object Policies {
     false
   }
 
-  /** Algorithm 3 over a chunk of blocks. Returns the :read marks aligned
-    * with `blocks`; accounts warm probes plus one line miss per examined
-    * (candidate, chunk) into `cost`.
+  /** Algorithm 3 over a chunk of blocks. Returns the blocks marked :read,
+    * in the order of `blocks`; accounts warm probes plus one line miss per
+    * examined (candidate, chunk) into `cost`.
     *
     * The chunk's still-open blocks are kept as 64-bit word masks, one per
     * run of consecutive blocks sharing a bitmap word, and each active
@@ -47,13 +47,13 @@ object Policies {
     * that of the bit-probing algorithm.
     */
   def lookaheadAnyActive(index: BitmapIndex, active: Array[Boolean], blocks: Array[Int],
-                         cost: Cost): Array[Boolean] = {
+                         cost: Cost): Array[Int] = {
     val n = blocks.length
     // Slot s holds the open blocks of one run of `blocks` that share bitmap
     // word word(s); a block already in the run (listed twice) starts a new
-    // slot. The runs are found twice, here and when marking, with the
-    // current run's bits kept in a register. A chunk of consecutive blocks
-    // needs n/64 + 2 slots; the arrays grow for scattered ones.
+    // slot. The runs are found twice, here and when collecting the reads,
+    // with the current run's bits kept in a register. A chunk of consecutive
+    // blocks needs n/64 + 2 slots; the arrays grow for scattered ones.
     var word = new Array[Int]((n >>> 6) + 2)
     var open = new Array[Long](word.length)
     var slots = 0
@@ -95,10 +95,11 @@ object Policies {
       }
       z += 1
     }
-    // a block is marked iff its bit was cleared from its slot
-    val mark = new Array[Boolean](n)
-    if (remaining == 0) { java.util.Arrays.fill(mark, true); return mark }
-    if (remaining == n) return mark
+    // a block is read iff its bit was cleared from its slot
+    if (remaining == n) return new Array[Int](0)
+    if (remaining == 0) return blocks.clone()
+    val toRead = new Array[Int](n - remaining)
+    var r = 0
     var s = -1
     var left = 0L
     w = -1
@@ -109,9 +110,9 @@ object Policies {
       val bit = 1L << b
       if ((b >>> 6) != w || (run & bit) != 0L) { s += 1; w = b >>> 6; left = open(s); run = 0L }
       run |= bit
-      mark(i) = (left & bit) == 0L
+      if ((left & bit) == 0L) { toRead(r) = b; r += 1 }
       i += 1
     }
-    mark
+    toRead
   }
 }

@@ -132,18 +132,9 @@ class DeviationsSpec extends AnyFunSuite {
     Array.fill(n)(levels(rng.nextInt(levels.length)))
   }
 
-  test("selection equals the prefix of a stable sort by tau, ties by lower index") {
-    val rng = new java.util.Random(3)
-    for (n <- Seq(1, 2, 3, 7, 50, 2000); m <- Seq(0, 1, 2, 3, 5, n).filter(_ <= n); _ <- 0 until 5) {
-      val tau = tiedTaus(rng, n)
-      val want = Array.range(0, n).sortBy(tau).take(m)
-      assert(Deviations.smallest(tau, m).sameElements(want), s"n=$n m=$m")
-    }
-  }
-
   test("matching and splitPoint equal those of a full stable sort, k <= n and k >= n") {
     val rng = new java.util.Random(5)
-    for (n <- Seq(1, 2, 3, 5, 2000); k <- Seq(1, 2, 3, 5, n - 1, n, n + 1, n + 10).filter(_ >= 1); _ <- 0 until 4) {
+    for (n <- Seq(1, 2, 3, 5, 7, 50, 2000); k <- Seq(1, 2, 3, 5, n - 1, n, n + 1, n + 10).filter(_ >= 1); _ <- 0 until 4) {
       val s = stateWith(tiedTaus(rng, n), Array.fill(n)(100L))
       val it = Deviations.iterate(s, k, 0.1, 0.01)
       val order = Array.range(0, n).sortBy(s.tau)
@@ -152,10 +143,5 @@ class DeviationsSpec extends AnyFunSuite {
       val wantSplit = if (kk >= n) Double.NaN else (s.tau(order(kk - 1)) + s.tau(order(kk))) / 2.0
       assert(java.lang.Double.compare(it.splitPoint, wantSplit) == 0, s"n=$n k=$k")
     }
-  }
-
-  test("selection rejects m outside [0, n]") {
-    intercept[IllegalArgumentException](Deviations.smallest(Array(0.1, 0.2), 3))
-    intercept[IllegalArgumentException](Deviations.smallest(Array(0.1, 0.2), -1))
   }
 }

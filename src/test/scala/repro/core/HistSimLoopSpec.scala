@@ -13,17 +13,8 @@ class HistSimLoopSpec extends AnyFunSuite {
   /** A toy population: candidates 0 and 1 close to the uniform target, the
     * rest progressively far.
     */
-  private def toyDists(vz: Int, vx: Int): (Array[Double], Array[Array[Double]]) = {
-    val target = Hist.uniform(vx)
-    val dists = Array.tabulate(vz) { z =>
-      if (z < 2) Hist.normalize(Array.tabulate(vx)(x => 1.0 + (if (x == z) 0.05 else 0.0)))
-      else {
-        val bump = 0.5 + 0.5 * z
-        Hist.normalize(Array.tabulate(vx)(x => if (x == z % vx) bump * vx else 1.0))
-      }
-    }
-    (target, dists)
-  }
+  private def toyDists(vz: Int, vx: Int): (Array[Double], Array[Array[Double]]) =
+    (Hist.uniform(vx), ToyStore.nearUniformPair(vz, vx))
 
   /** Runs `app` on a store of 3000 tuples per candidate drawn from `dists`. */
   private def runToy(app: Approach, target: Array[Double], dists: Array[Array[Double]],

@@ -1,7 +1,7 @@
 package repro.engine
 
 import repro.SparkSpec
-import repro.data.{Dataset, QuerySpec, Workloads}
+import repro.data.{QuerySpec, Workloads}
 import repro.index.BitmapIndex
 
 /** Full-pipeline tests: Spark generation -> ground truth -> prefetched
@@ -14,23 +14,24 @@ class EndToEndSpec extends SparkSpec {
   private val testEps = 0.45 // miniature populations need a loose tolerance
   private val testDelta = 0.05
 
-  private def prepare(q: QuerySpec, ds: Dataset): Harness.QueryContext = {
-    val ctx = Harness.prepare(spark, ds, q)
-    ctx.copy(task = ctx.task.copy(eps = testEps, delta = testDelta))
-  }
-
+  // every query's set-up scans its dataset twice, so each is generated once
   private lazy val datasets = Map(
     "FLIGHTS" -> Workloads.flights(spark, sf),
     "TAXI"    -> Workloads.taxi(spark, sf),
     "POLICE"  -> Workloads.police(spark, sf),
-  )
+  ).map { case (name, ds) => name -> ds.copy(df = ds.df.cache()) }
 
-  // cache generated data to keep the nine-query loop fast
-  datasets // touch lazily per test instead
+  /** Each query's context, prepared at its first use and then reused. */
+  private val contexts = scala.collection.mutable.Map.empty[(String, String), Harness.QueryContext]
+
+  private def prepare(q: QuerySpec): Harness.QueryContext = contexts.getOrElseUpdate((q.dataset, q.name), {
+    val ctx = Harness.prepare(spark, datasets(q.dataset), q)
+    ctx.copy(task = ctx.task.copy(eps = testEps, delta = testDelta))
+  })
 
   test("harness context is internally consistent (FLIGHTS-q1)") {
     val q = Workloads.queries.head
-    val ctx = prepare(q, datasets(q.dataset))
+    val ctx = prepare(q)
     assert(ctx.task.vz == 161 && ctx.task.vx == 24 && ctx.task.k == 10)
     assert(math.abs(ctx.task.target.sum - 1.0) < 1e-9)
     // prefetched totals equal the dataset row count
@@ -43,8 +44,8 @@ class EndToEndSpec extends SparkSpec {
 
   test("index built from prefetched triples equals index built by Spark") {
     val q = Workloads.queries.head
-    val ds = datasets(q.dataset)
-    val ctx = prepare(q, ds)
+    val ctx = prepare(q)
+    val ds = ctx.ds
     val direct = BitmapIndex.build(ds.df, q.zCol, q.vz, "block", ds.numBlocks)
     for (z <- 0 until q.vz)
       assert(ctx.index.bitmaps(z) == direct.bitmaps(z), s"bitmap mismatch z=$z")
@@ -52,8 +53,8 @@ class EndToEndSpec extends SparkSpec {
 
   test("SparkRoundReader and PrefetchedCounts drive identical matcher runs") {
     val q = Workloads.queries.head
-    val ds = datasets(q.dataset)
-    val ctx = prepare(q, ds)
+    val ctx = prepare(q)
+    val ds = ctx.ds
     val sparkReader = new SparkRoundReader(ds.df, q.zCol, q.xCol, "block", ds.numBlocks)
     val a = Matchers.run(Approach.FastMatch, ctx.task, ctx.reader, ctx.index, 5)
     val b = Matchers.run(Approach.FastMatch, ctx.task, sparkReader, ctx.index, 5)
@@ -65,7 +66,7 @@ class EndToEndSpec extends SparkSpec {
 
   test("all nine queries: guarantees hold for every approach") {
     for (q <- Workloads.queries) {
-      val ctx = prepare(q, datasets(q.dataset))
+      val ctx = prepare(q)
       for (app <- Approach.all) {
         val res = Matchers.run(app, ctx.task, ctx.reader, ctx.index, 13)
         assert(Metrics.separationHolds(res.matching, ctx.truth, testEps),
@@ -78,7 +79,7 @@ class EndToEndSpec extends SparkSpec {
 
   test("benchQuery aggregates runs with zero violations on an easy query") {
     val q = Workloads.queries.head
-    val ctx = prepare(q, datasets(q.dataset))
+    val ctx = prepare(q)
     val qb = Harness.benchQuery(ctx, runs = 2)
     assert(qb.scanSimTime == ctx.ds.rows.toDouble) // Scan = pure IO at tTuple = 1
     assert(qb.stats.map(_.approach).toSet ==
@@ -91,9 +92,17 @@ class EndToEndSpec extends SparkSpec {
     }
   }
 
+  test("benchQuery rejects fewer than one run") {
+    val ctx = prepare(Workloads.queries.head)
+    for (runs <- Seq(0, -1)) {
+      val e = intercept[IllegalArgumentException](Harness.benchQuery(ctx, runs))
+      assert(e.getMessage.contains(s"got $runs"), e.getMessage)
+    }
+  }
+
   test("formatRow renders measured and paper numbers") {
     val q = Workloads.queries.head
-    val ctx = prepare(q, datasets(q.dataset))
+    val ctx = prepare(q)
     val row = Harness.formatRow(Harness.benchQuery(ctx, runs = 1))
     assert(row.contains("FLIGHTS-q1"))
     assert(row.contains("FastMatch"))
@@ -102,9 +111,7 @@ class EndToEndSpec extends SparkSpec {
   }
 
   test("Scan output equals the DuckDB-checked exact top-k") {
-    val q = Workloads.queries(6) // POLICE-q1, small vx
-    val ds = datasets(q.dataset)
-    val ctx = prepare(q, ds)
+    val ctx = prepare(Workloads.queries(6)) // POLICE-q1, small vx
     val res = Matchers.run(Approach.Scan, ctx.task, ctx.reader, ctx.index, 0)
     assert(res.matching.sameElements(ctx.truth.topK))
   }

@@ -31,14 +31,9 @@ class MatchersSpec extends AnyFunSuite {
     * 300 tuples each against 3000 for the far rest, so a uniform sample
     * sees the top-k ten times less often than the bulk.
     */
-  private def skewedSetup() = {
-    val vx = 6
-    val dists = Array.tabulate(8) { z =>
-      if (z < 2) Hist.normalize(Array.tabulate(vx)(x => 1.0 + (if (x == z) 0.05 else 0.0)))
-      else Hist.normalize(Array.tabulate(vx)(x => if (x == z % vx) (0.5 + 0.5 * z) * vx else 1.0))
-    }
-    ToyStore(Array.tabulate(8)(z => if (z < 2) 300 else 3000), dists, tuplesPerBlock = 32, seed = 5)
-  }
+  private def skewedSetup() =
+    ToyStore(Array.tabulate(8)(z => if (z < 2) 300 else 3000), ToyStore.nearUniformPair(8, 6),
+      tuplesPerBlock = 32, seed = 5)
 
   private def task(truth: Truth, eps: Double = 0.25, delta: Double = 0.05) =
     MatchTask(truth.hists.length, truth.target.length, 2, eps, delta, truth.target)

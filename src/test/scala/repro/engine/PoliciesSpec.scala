@@ -44,9 +44,9 @@ class PoliciesSpec extends AnyFunSuite {
     val cost = new Cost
     assert(!Policies.syncAnyActive(idx, Array(false, false, false, false), 3, cost))
     assert(cost.probesCold == 0)
-    val marks = Policies.lookaheadAnyActive(idx, Array(false, false, false, false),
+    val toRead = Policies.lookaheadAnyActive(idx, Array(false, false, false, false),
       Array.range(0, 8), cost)
-    assert(marks.forall(!_))
+    assert(toRead.isEmpty)
     assert(cost.probesWarm == 0 && cost.lineMisses == 0)
   }
 
@@ -54,8 +54,8 @@ class PoliciesSpec extends AnyFunSuite {
     val idx = toyIndex
     val active = Array(true, false, true, false)
     val cost = new Cost
-    val marks = Policies.lookaheadAnyActive(idx, active, Array.range(0, 8), cost)
-    assert(marks.toSeq == Seq(true, true, false, false, true, true, true, false))
+    val toRead = Policies.lookaheadAnyActive(idx, active, Array.range(0, 8), cost)
+    assert(toRead.toSeq == Seq(0, 1, 4, 5, 6))
   }
 
   test("lookahead and sync mark the same blocks given the same active set") {
@@ -68,7 +68,7 @@ class PoliciesSpec extends AnyFunSuite {
       val blocks = Array.range(0, 64).filter(_ => rng.nextDouble() < 0.7)
       val c1 = new Cost; val c2 = new Cost
       val la = Policies.lookaheadAnyActive(idx, active, blocks, c1)
-      val sync = blocks.map(b => Policies.syncAnyActive(idx, active, b, c2))
+      val sync = blocks.filter(b => Policies.syncAnyActive(idx, active, b, c2))
       assert(la.sameElements(sync), s"trial $trial")
     }
   }
@@ -88,8 +88,8 @@ class PoliciesSpec extends AnyFunSuite {
     (0 until 8).foreach(bitmaps(0).set)
     val idx = new BitmapIndex(bitmaps, 8)
     val cost = new Cost
-    val marks = Policies.lookaheadAnyActive(idx, Array(true, true, true), Array.range(0, 8), cost)
-    assert(marks.forall(identity))
+    val toRead = Policies.lookaheadAnyActive(idx, Array(true, true, true), Array.range(0, 8), cost)
+    assert(toRead.sameElements(Array.range(0, 8)))
     assert(cost.lineMisses == 1)
     assert(cost.probesWarm == 7) // 8 probes, first charged as the miss
   }
@@ -107,10 +107,11 @@ class PoliciesSpec extends AnyFunSuite {
 
   /** Algorithm 3 probing bit by bit, as the paper states it: the
     * reference the word-parallel [[Policies.lookaheadAnyActive]] must
-    * match in marks and counters.
+    * match in the blocks it reads and in its counters. Returns the blocks
+    * marked :read, in the order of `blocks`.
     */
   private def bitProbingLookahead(index: BitmapIndex, active: Array[Boolean], blocks: Array[Int],
-                                  cost: Cost): Array[Boolean] = {
+                                  cost: Cost): Array[Int] = {
     val mark = new Array[Boolean](blocks.length)
     var remaining = blocks.length
     var z = 0
@@ -130,7 +131,7 @@ class PoliciesSpec extends AnyFunSuite {
       }
       z += 1
     }
-    mark
+    blocks.indices.filter(mark).map(blocks).toArray
   }
 
   test("word-parallel lookahead matches bit-probing Algorithm 3 in marks and counters") {
@@ -158,10 +159,10 @@ class PoliciesSpec extends AnyFunSuite {
       if (chunk.length > 1 && chunk.last < chunk.head) wrapped += 1
       if (chunk.length > 1 && chunk.last - chunk.head >= chunk.length) gapped += 1
       val got = new Cost; val want = new Cost
-      val marks = Policies.lookaheadAnyActive(idx, active, chunk, got)
+      val toRead = Policies.lookaheadAnyActive(idx, active, chunk, got)
       val expected = bitProbingLookahead(idx, active, chunk, want)
       val what = s"trial $trial: numBlocks=$numBlocks vz=$vz chunk=${chunk.length}"
-      assert(marks.sameElements(expected), what)
+      assert(toRead.sameElements(expected), what)
       assert(got.probesWarm == want.probesWarm, what)
       assert(got.lineMisses == want.lineMisses, what)
       assert(got.probesCold == 0, what)
@@ -174,8 +175,8 @@ class PoliciesSpec extends AnyFunSuite {
     val blocks = Array(3, 4, 3, 7, 4, 0)
     for (active <- Seq(Array(true, true, false, false), Array(false, false, false, true))) {
       val got = new Cost; val want = new Cost
-      val marks = Policies.lookaheadAnyActive(idx, active, blocks, got)
-      assert(marks.sameElements(bitProbingLookahead(idx, active, blocks, want)))
+      val toRead = Policies.lookaheadAnyActive(idx, active, blocks, got)
+      assert(toRead.sameElements(bitProbingLookahead(idx, active, blocks, want)))
       assert(got.probesWarm == want.probesWarm && got.lineMisses == want.lineMisses)
     }
   }

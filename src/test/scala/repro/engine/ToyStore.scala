@@ -9,6 +9,15 @@ import repro.index.BitmapIndex
   */
 object ToyStore {
 
+  /** vz candidate distributions over vx groups: candidates 0 and 1 near
+    * uniform (each 5 % heavier on its own group), every other z peaked on
+    * group z % vx, more sharply as z grows.
+    */
+  def nearUniformPair(vz: Int, vx: Int): Array[Array[Double]] = Array.tabulate(vz) { z =>
+    if (z < 2) Hist.normalize(Array.tabulate(vx)(x => 1.0 + (if (x == z) 0.05 else 0.0)))
+    else Hist.normalize(Array.tabulate(vx)(x => if (x == z % vx) (0.5 + 0.5 * z) * vx else 1.0))
+  }
+
   /** In-memory population: candidate z has freq(z) tuples drawn from
     * dists(z), scattered uniformly over blocks. The returned truth takes
     * candidate 0's histogram as the target and k = 2.
