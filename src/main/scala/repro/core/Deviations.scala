@@ -28,10 +28,10 @@ final case class Iteration(
   *
   * Given current per-candidate (counts, n, exact) state it:
   *   1. in one sweep over the candidates in index order, recomputes tau
-  *      of each candidate whose counts changed since the last iteration
-  *      and selects the k + 1 candidates with the smallest tau
-  *      (O(|V_Z| * k + dirty * |V_X|), no full sort), taking the first k
-  *      as M;
+  *      of each candidate whose counts changed since its tau was computed
+  *      (`n(z) != tauN(z)`) and selects the k + 1 candidates with the
+  *      smallest tau (O(|V_Z| * k + changed * |V_X|), no full sort),
+  *      taking the first k as M;
   *   2. chooses the split point s halfway between the furthest candidate
   *      in M and the closest candidate outside M;
   *   3. assigns each candidate the largest deviation bound eps_i allowed
@@ -44,8 +44,9 @@ final case class Iteration(
   */
 object Deviations {
 
-  /** Run one iteration. Refreshes `state.tau` of the dirty candidates and
-    * clears their marks.
+  /** Run one iteration. Refreshes `state.tau` of the candidates whose `n`
+    * moved since their tau was computed, and records that `n` in
+    * `state.tauN`.
     */
   def iterate(state: HistSimState, k: Int, eps: Double, delta: Double): Iteration = {
     val nz = state.nCandidates
@@ -53,7 +54,7 @@ object Deviations {
     require(eps > 0 && delta > 0 && delta < 1, s"bad (eps=$eps, delta=$delta)")
 
     val kk = math.min(k, nz)
-    val tau = state.tau; val dirty = state.dirty
+    val tau = state.tau; val tauN = state.tauN
     val counts = state.counts; val n = state.n; val target = state.target; val vx = state.vx
     // Every candidate offered before z already has its final tau, so the
     // selection is the prefix of a stable sort of the refreshed taus.
@@ -61,7 +62,8 @@ object Deviations {
     var len = 0
     var z = 0
     while (z < nz) {
-      if (dirty(z)) { tau(z) = Hist.dist(counts, z * vx, n(z), target); dirty(z) = false }
+      val seen = n(z)
+      if (seen != tauN(z)) { tau(z) = Hist.dist(counts, z * vx, seen, target); tauN(z) = seen }
       len = offer(tau, order, len, z)
       z += 1
     }

@@ -12,15 +12,16 @@ package repro.core
   *   - `tau(z)`     — l1 distance of the normalized empirical histogram
   *                    from the (already normalized) target Q-hat,
   *   - `exact(z)`   — whether candidate z's data has been exhausted
-  *                    (every block containing it was read), in which case
-  *                    its histogram is the true one and its deviation is 0,
-  *   - `dirty(z)`   — whether z's counts changed since `tau(z)` was last
-  *                    computed.
+  *                    (all of its tuples were read), in which case its
+  *                    histogram is the true one and its deviation is 0,
+  *   - `tauN(z)`    — the `n(z)` at which `tau(z)` was last computed.
   *
-  * `tau` is maintained incrementally: [[Deviations.iterate]] recomputes it
-  * only for dirty candidates (O(dirty * |V_X|)), in the same sweep over
-  * the candidates that selects the top k + 1, which preserves the
-  * O(|V_Z| * |V_X|) complexity the paper charges per statistics iteration.
+  * Counts only grow, by non-negative amounts, so z's counts changed since
+  * `tau(z)` was computed iff `n(z) != tauN(z)`. `tau` is maintained
+  * incrementally: [[Deviations.iterate]] recomputes it only for those
+  * candidates (O(changed * |V_X|)), in the same sweep over the candidates
+  * that selects the top k + 1, which preserves the O(|V_Z| * |V_X|)
+  * complexity the paper charges per statistics iteration.
   */
 final class HistSimState(val nCandidates: Int, val target: Array[Double]) {
   val vx: Int = target.length
@@ -35,10 +36,10 @@ final class HistSimState(val nCandidates: Int, val target: Array[Double]) {
     Array.fill(nCandidates)(unsampled)
   }
   val exact: Array[Boolean] = new Array[Boolean](nCandidates)
-  val dirty: Array[Boolean] = new Array[Boolean](nCandidates)
+  val tauN: Array[Long] = new Array[Long](nCandidates)
 
-  /** Add `c` observed tuples with group value `x` for candidate `z`, and
-    * mark z dirty; the next [[Deviations.iterate]] refreshes its tau.
+  /** Add `c` observed tuples with group value `x` for candidate `z`; if
+    * `c > 0`, the next [[Deviations.iterate]] refreshes z's tau.
     */
   def add(z: Int, x: Int, c: Long): Unit = {
     // one sign test: z, x and the distances to their upper bounds are >= 0
@@ -47,22 +48,21 @@ final class HistSimState(val nCandidates: Int, val target: Array[Double]) {
     require(c >= 0, s"negative count $c")
     counts(z * vx + x) += c
     n(z) += c
-    dirty(z) = true
   }
 
   /** A copy of candidate z's histogram. */
   def hist(z: Int): Array[Long] = java.util.Arrays.copyOfRange(counts, z * vx, (z + 1) * vx)
 
-  /** Recompute tau for the given candidates and clear their dirty marks. */
+  /** Recompute tau for the given candidates, recording their `n` in `tauN`. */
   def refreshTau(touched: Iterable[Int]): Unit =
-    touched.foreach { z => tau(z) = Hist.dist(counts, z * vx, n(z), target); dirty(z) = false }
+    touched.foreach { z => tau(z) = Hist.dist(counts, z * vx, n(z), target); tauN(z) = n(z) }
 
-  /** Recompute tau for every candidate and clear every dirty mark. It
+  /** Recompute tau for every candidate, recording each `n` in `tauN`. It
     * sums the counts rather than trusting `n`.
     */
   def refreshAllTau(): Unit = {
     var z = 0
-    while (z < nCandidates) { tau(z) = Hist.dist(hist(z), target); dirty(z) = false; z += 1 }
+    while (z < nCandidates) { tau(z) = Hist.dist(hist(z), target); tauN(z) = n(z); z += 1 }
   }
 
   def markExact(z: Int): Unit = exact(z) = true

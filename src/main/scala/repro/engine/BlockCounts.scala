@@ -108,9 +108,10 @@ final class PrefetchedCounts private (
     }
   }
 
-  /** Every CSR entry as (block, z, x), block by block. One small iterator
-    * with no inner iterators or closures, so that a caller's `while` loop
-    * over it can be compiled without the tuples and boxes.
+  /** Every CSR entry as (block, z, count), block by block: what
+    * [[repro.index.BitmapIndex.fromBlockTriples]] takes. One small
+    * iterator with no inner iterators or closures, so that a caller's
+    * `while` loop over it can be compiled without the tuples and boxes.
     */
   def allTriples: Iterator[(Int, Int, Int)] = new Iterator[(Int, Int, Int)] {
     private var b = 0
@@ -119,7 +120,7 @@ final class PrefetchedCounts private (
     override def next(): (Int, Int, Int) = {
       if (i >= zArr.length) throw new NoSuchElementException("no CSR entry left")
       while (offsets(b + 1) <= i) b += 1
-      val t = (b, zArr(i), xArr(i))
+      val t = (b, zArr(i), cArr(i))
       i += 1
       t
     }

@@ -35,14 +35,6 @@ final case class CostParams(
     syncStallFactor: Double = 0.5,
     /** Blocks marked per lookahead batch (paper default 512). */
     lookahead: Int = 512,
-    /** Blocks between statistics iterations for ScanMatch/SlowMatch. */
-    roundBlocks: Int = 512,
-    /** Simulation granularity of SyncMatch's "freshest delta" updates:
-      * a statistics iteration every this many considered blocks. The
-      * real system refreshes per block; 16 keeps the simulation
-      * tractable with no observable effect on block selection.
-      */
-    syncStatsEvery: Int = 16,
 )
 
 /** Mutable cost accumulator for one matcher run. */

@@ -74,6 +74,16 @@ final case class RunResult(
   */
 object Matchers {
 
+  /** Blocks between statistics iterations for ScanMatch and SlowMatch. */
+  private val RoundBlocks = 512
+
+  /** Simulation granularity of SyncMatch's "freshest delta" updates: a
+    * statistics iteration every this many considered blocks. The real
+    * system refreshes per block; 16 keeps the simulation tractable with no
+    * observable effect on block selection.
+    */
+  private val SyncStatsEvery = 16
+
   def run(
       approach: Approach,
       task: MatchTask,
@@ -88,7 +98,8 @@ object Matchers {
       s"index has ${index.nCandidates} candidates, task has vz=${task.vz}")
     val state = new HistSimState(task.vz, task.target)
     val cost = new Cost
-    val sink = new Sink(state, cost, index, b)
+    val sink = new Sink(state, cost, b)
+    markExhausted(state, index, approach, startBlock) // candidates with no tuples
 
     var iter: Iteration = Deviations.iterate(state, task.k, task.eps, task.delta)
     cost.statsIters += 1
@@ -101,9 +112,9 @@ object Matchers {
     }
 
     val chunkLen = approach match {
-      case Approach.SyncMatch => params.syncStatsEvery
+      case Approach.SyncMatch => SyncStatsEvery
       case Approach.FastMatch => params.lookahead
-      case _                  => params.roundBlocks
+      case _                  => RoundBlocks
     }
     val chunkBuf = new Array[Int](math.min(chunkLen, b))
     var pos = math.floorMod(startBlock, b)
@@ -138,7 +149,10 @@ object Matchers {
         case Approach.FastMatch => Policies.lookaheadAnyActive(index, iter.active, chunk, cost)
         case _                  => chunk
       }
-      if (toRead.nonEmpty) reader.visit(toRead, sink)
+      if (toRead.nonEmpty) {
+        reader.visit(toRead, sink)
+        markExhausted(state, index, approach, startBlock)
+      }
       if (approach != Approach.Scan) runStats()
       done = terminated(iter)
       // Safety: a pruning pass that reads nothing can only happen once the
@@ -173,38 +187,47 @@ object Matchers {
     )
   }
 
-  /** Takes in the blocks a run reads: adds their counts to the state's
-    * `counts` and `n`, counts the blocks in the cost, marks candidates
-    * exact once every block holding them is read, and marks each candidate
-    * a block holds dirty. Allocates nothing per block or tuple, and
-    * assumes no order of a block's triples.
+  /** Sampling without replacement: marks exact every candidate z whose
+    * N_z tuples ([[BitmapIndex.tuples]]) have all been read, so that its
+    * histogram is the true one and its deviation 0. Every block that holds
+    * z holds at least one tuple of z, so this is the same as having read
+    * every block of z. One pass over the candidates, after each visit.
+    * Throws if a candidate has more tuples read than N_z: the reader and
+    * the index describe different stores.
     */
-  private final class Sink(state: HistSimState, cost: Cost, index: BitmapIndex, numBlocks: Int)
-      extends BlockVisitor {
+  private[engine] def markExhausted(state: HistSimState, index: BitmapIndex,
+                                    approach: Approach, startBlock: Int): Unit = {
+    val n = state.n; val exact = state.exact
+    var z = 0
+    while (z < n.length) {
+      val total = index.tuples(z)
+      if (n(z) >= total) {
+        if (n(z) > total)
+          throw new IllegalStateException(s"${approach.name} from block $startBlock: candidate $z has " +
+            s"${n(z)} tuples read, more than the index's N_z = $total")
+        exact(z) = true
+      }
+      z += 1
+    }
+  }
+
+  /** Takes in the blocks a run reads: adds their counts to the state's
+    * `counts` and `n`, and counts the blocks in the cost and the read set.
+    * Allocates nothing per block or tuple, and assumes no order of a
+    * block's triples.
+    */
+  private[engine] final class Sink(state: HistSimState, cost: Cost, numBlocks: Int) extends BlockVisitor {
     private val vz = state.nCandidates
     private val vx = state.vx
     private val counts = state.counts
     private val n = state.n
-    private val exact = state.exact
-    private val dirty = state.dirty
     val readSet = new java.util.BitSet(numBlocks)
     var readCount = 0
-
-    // Sampling without replacement: once every block containing candidate
-    // z has been read, z's histogram is exact and its deviation is 0.
-    private val blocksLeft = Array.tabulate(vz)(index.blockCount)
-    // lastBlock(z): the number (1, 2, ...) of the last block read that held
-    // z. z is new to the current block iff lastBlock(z) != blockNo.
-    private val lastBlock = new Array[Int](vz)
-    private var blockNo = 0
     private var block = -1 // the id of the block being read
-
-    { var z = 0; while (z < vz) { if (blocksLeft(z) == 0) exact(z) = true; z += 1 } }
 
     override def startBlock(b: Int): Unit = {
       readSet.set(b); readCount += 1
       cost.blocksRead += 1
-      blockNo += 1
       block = b
     }
 
@@ -213,12 +236,6 @@ object Matchers {
       if ((z | x | c | (vz - 1 - z) | (vx - 1 - x)) < 0) bad(z, x, c)
       counts(z * vx + x) += c
       n(z) += c
-      if (lastBlock(z) != blockNo) {
-        lastBlock(z) = blockNo
-        dirty(z) = true
-        blocksLeft(z) -= 1
-        if (blocksLeft(z) == 0) exact(z) = true
-      }
     }
 
     private def bad(z: Int, x: Int, c: Int): Nothing =

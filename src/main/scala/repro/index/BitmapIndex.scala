@@ -5,12 +5,15 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.Checked.asInt
 
-/** Per-candidate block bitmaps (Section 4.1, "Bitmap Index Structures").
+/** Per-candidate block bitmaps (Section 4.1, "Bitmap Index Structures"),
+  * with each candidate's tuple count.
   *
   * For candidate value z, bit p is set iff block p contains at least one
   * tuple with Z = z. The sampling engine probes these to apply the
   * AnyActive block-selection policy. One bit per *block* (not per tuple),
-  * as in the paper.
+  * as in the paper. Next to each bitmap the index holds N_z, the number of
+  * tuples with Z = z in the store: a run has read every tuple of z, and
+  * so holds z's exact histogram, once it has counted N_z of them.
   *
   * Each bitmap is stored once, as ⌈numBlocks/64⌉ 64-bit words (bit p in
   * word p / 64 at position p % 64), so that a lookahead pass tests 64
@@ -18,13 +21,13 @@ import repro.Checked.asInt
   * [[blockCount]] is computed once, when the index is built, and
   * [[bitmaps]] returns copies.
   */
-final class BitmapIndex private (val numBlocks: Int, bits: Array[Array[Long]]) {
+final class BitmapIndex private (val numBlocks: Int, bits: Array[Array[Long]], tupleCounts: Array[Long]) {
 
-  /** From one `BitSet` per candidate; a bit at or beyond `numBlocks` is
-    * rejected.
+  /** From one `BitSet` per candidate and each candidate's tuple count; a
+    * bit at or beyond `numBlocks` is rejected.
     */
-  def this(bitmaps: Array[BitSet], numBlocks: Int) =
-    this(numBlocks, bitmaps.map(BitmapIndex.words(_, numBlocks)))
+  def this(bitmaps: Array[BitSet], tuples: Array[Long], numBlocks: Int) =
+    this(numBlocks, bitmaps.map(BitmapIndex.words(_, numBlocks)), tuples.clone())
 
   val nCandidates: Int = bits.length
 
@@ -34,14 +37,24 @@ final class BitmapIndex private (val numBlocks: Int, bits: Array[Array[Long]]) {
     c
   }
 
+  require(tupleCounts.length == nCandidates,
+    s"${tupleCounts.length} tuple counts for $nCandidates candidates")
+  for (z <- 0 until nCandidates) {
+    val n = tupleCounts(z); val blocks = blockCounts(z)
+    require(n >= 0, s"candidate $z: negative tuple count $n")
+    // every block that holds z holds at least one tuple of z
+    require(n >= blocks, s"candidate $z: $n tuples in $blocks blocks")
+    require(blocks > 0 || n == 0, s"candidate $z: $n tuples but no block")
+  }
+
   /** Does block `b` contain any tuple of candidate `z`? */
   def contains(z: Int, b: Int): Boolean = (bits(z)(b >>> 6) & (1L << b)) != 0
 
-  /** Number of distinct blocks containing candidate z — the candidate's
-    * total population of blocks, used to detect exhaustion (sampling
-    * without replacement).
-    */
+  /** Number of distinct blocks containing candidate z. */
   def blockCount(z: Int): Int = blockCounts(z)
+
+  /** N_z: the number of tuples with Z = z in the store. */
+  def tuples(z: Int): Long = tupleCounts(z)
 
   /** Candidate z's bitmap words, ⌈numBlocks/64⌉ of them, with no bit at
     * or beyond `numBlocks`. The index's own array: callers must not write
@@ -74,34 +87,42 @@ object BitmapIndex {
     words(z)(b >>> 6) |= 1L << b
   }
 
-  /** Build from a DataFrame via aggregation: one `collect_set(block)` per
-    * candidate value. This is the "index construction" pass — in the
-    * paper a preprocessing step over the stored blocks.
+  /** Build from a DataFrame via aggregation: one `collect_set(block)` and
+    * one `count` per candidate value. This is the "index construction"
+    * pass — in the paper a preprocessing step over the stored blocks.
     */
   def build(df: DataFrame, zCol: String, vz: Int, blockCol: String, numBlocks: Int): BitmapIndex = {
     val rows = df
       .groupBy(col(zCol))
-      .agg(collect_set(col(blockCol)).as("blocks"))
+      .agg(collect_set(col(blockCol)).as("blocks"), count(lit(1)).as("tuples"))
       .collect()
     val words = empty(vz, numBlocks)
+    val tuples = new Array[Long](vz)
     rows.foreach { r =>
       val z = asInt(r.get(0))
       r.getSeq[Any](1).foreach(b => set(words, z, asInt(b), numBlocks))
+      tuples(z) = r.getLong(2)
     }
-    new BitmapIndex(numBlocks, words)
+    new BitmapIndex(numBlocks, words, tuples)
   }
 
-  /** Build from driver-side per-block counts (used when counts were
-    * already prefetched; must agree with [[build]] — tested). A `while`
-    * loop over the iterator, so that the JIT can drop each entry's tuple
-    * once `next` is inlined.
+  /** Build from driver-side (block, z, count) entries, each with a count
+    * of at least 1 (used when counts were already prefetched; must agree
+    * with [[build]] — tested). A `while` loop over the iterator, so that
+    * the JIT can drop each entry's tuple once `next` is inlined.
     */
   def fromBlockTriples(triples: Iterator[(Int, Int, Int)], vz: Int, numBlocks: Int): BitmapIndex = {
     val words = empty(vz, numBlocks)
+    val tuples = new Array[Long](vz)
     while (triples.hasNext) {
       val t = triples.next()
-      set(words, t._2, t._1, numBlocks)
+      val z = t._2; val c = t._3
+      set(words, z, t._1, numBlocks)
+      // a plain throw: a `require`'s by-name message would capture the
+      // tuple and keep the JIT from dropping it
+      if (c < 1) throw new IllegalArgumentException(s"block ${t._1}: count $c for candidate $z; an entry holds at least one tuple")
+      tuples(z) += c
     }
-    new BitmapIndex(numBlocks, words)
+    new BitmapIndex(numBlocks, words, tuples)
   }
 }

@@ -4,10 +4,12 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class DeviationsSpec extends AnyFunSuite {
 
-  /** Build a state with prescribed taus and sample counts. */
+  /** Build a state with prescribed taus and sample counts, each tau
+    * recorded as computed at its n, so that iterate keeps it.
+    */
   private def stateWith(taus: Array[Double], ns: Array[Long], vx: Int = 4): HistSimState = {
     val s = new HistSimState(taus.length, Hist.uniform(vx))
-    taus.indices.foreach { i => s.tau(i) = taus(i); s.n(i) = ns(i) }
+    taus.indices.foreach { i => s.tau(i) = taus(i); s.n(i) = ns(i); s.tauN(i) = ns(i) }
     s
   }
 

@@ -45,7 +45,7 @@ class FusedIterateSpec extends AnyFunSuite {
         "deltaMax" -> same(got.deltaMax, want.deltaMax),
         "splitPoint" -> same(got.splitPoint, want.splitPoint),
         "tau" -> sameArr(fused.tau, oracle.tau),
-        "dirty cleared" -> !fused.dirty.exists(identity),
+        "tauN caught up with n" -> fused.tauN.sameElements(fused.n),
       ).collect { case (what, false) => what }
       if (diffs.isEmpty) None else Some(s"round $r: ${diffs.mkString(", ")} differ")
     }.collectFirst { case Some(d) => d }

@@ -106,7 +106,7 @@ class HistSimStateSpec extends AnyFunSuite {
     Deviations.iterate(a, 3, 0.1, 0.01)
     b.refreshTau(touched.take(len).toSeq)
     assert(a.tau.indices.forall(z => java.lang.Double.compare(a.tau(z), b.tau(z)) == 0))
-    assert(!a.dirty.exists(identity) && !b.dirty.exists(identity))
+    assert(a.tauN.sameElements(a.n) && b.tauN.sameElements(b.n))
     assert(a.tau(12) == before12 && a.tau(5) == before5)
   }
 
@@ -116,26 +116,25 @@ class HistSimStateSpec extends AnyFunSuite {
     val s = mkState(vz = 20, target = target)
     for (_ <- 0 until 300) s.add(rng.nextInt(20), rng.nextInt(4), 1 + rng.nextInt(5))
     Deviations.iterate(s, 3, 0.1, 0.01)
-    assert(!s.dirty.exists(identity))
-    val fresh = s.tau.clone()
+    assert(s.tauN.sameElements(s.n))
     // poison every tau: only the candidates added to next may change
     java.util.Arrays.fill(s.tau, -1.0)
-    s.add(12, 0, 1); s.add(5, 1, 0); s.add(12, 3, 2)
-    assert(s.dirty.indices.filter(s.dirty).toSet == Set(5, 12))
+    s.add(12, 0, 1); s.add(5, 1, 2); s.add(12, 3, 2)
+    // a zero count leaves the counts, and so tau, as they were
+    s.add(7, 2, 0)
     Deviations.iterate(s, 3, 0.1, 0.01)
-    assert(!s.dirty.exists(identity))
+    assert(s.tauN.sameElements(s.n))
     val refreshed = s.tau.indices.filter(z => s.tau(z) != -1.0).toSet
     assert(refreshed == Set(5, 12))
-    assert(java.lang.Double.compare(s.tau(5), fresh(5)) == 0)
-    assert(java.lang.Double.compare(s.tau(12), Hist.dist(s.hist(12), target)) == 0)
+    for (z <- refreshed) assert(java.lang.Double.compare(s.tau(z), Hist.dist(s.hist(z), target)) == 0)
   }
 
-  test("refreshAllTau and refreshTau clear the dirty marks of the candidates they refresh") {
+  test("refreshAllTau and refreshTau record n at refresh") {
     val s = mkState(vz = 5)
     (0 until 5).foreach(z => s.add(z, z % 3, 1 + z))
     s.refreshTau(Seq(1, 3))
-    assert(s.dirty.sameElements(Array(true, false, true, false, true)))
+    assert(s.tauN.sameElements(Array(0L, 2L, 0L, 4L, 0L)))
     s.refreshAllTau()
-    assert(!s.dirty.exists(identity))
+    assert(s.tauN.sameElements(s.n))
   }
 }

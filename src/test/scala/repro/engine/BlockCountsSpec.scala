@@ -180,7 +180,7 @@ class BlockCountsSpec extends SparkSpec {
 
   test("allTriples lists the CSR entries block by block, as read does") {
     val fromRead = prefetched.read(Array.range(0, numBlocks)).zipWithIndex
-      .flatMap { case (ts, b) => ts.map { case (z, x, _) => (b, z, x) } }.toSeq
+      .flatMap { case (ts, b) => ts.map { case (z, _, c) => (b, z, c) } }.toSeq
     assert(prefetched.allTriples.toSeq == fromRead)
   }
 

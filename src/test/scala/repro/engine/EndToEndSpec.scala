@@ -47,8 +47,10 @@ class EndToEndSpec extends SparkSpec {
     val ctx = prepare(q)
     val ds = ctx.ds
     val direct = BitmapIndex.build(ds.df, q.zCol, q.vz, "block", ds.numBlocks)
-    for (z <- 0 until q.vz)
+    for (z <- 0 until q.vz) {
       assert(ctx.index.bitmaps(z) == direct.bitmaps(z), s"bitmap mismatch z=$z")
+      assert(ctx.index.tuples(z) == direct.tuples(z), s"tuple count mismatch z=$z")
+    }
   }
 
   test("SparkRoundReader and PrefetchedCounts drive identical matcher runs") {

@@ -176,7 +176,7 @@ class MatchersSpec extends AnyFunSuite {
     val index2 = {
       val bitmaps = java.util.Arrays.copyOf(index.bitmaps, vz)
       bitmaps(vz - 1) = new java.util.BitSet(reader.numBlocks)
-      new BitmapIndex(bitmaps, reader.numBlocks)
+      new BitmapIndex(bitmaps, Array.tabulate(vz)(z => if (z < vz - 1) index.tuples(z) else 0L), reader.numBlocks)
     }
     val t = MatchTask(vz, truth.target.length, 2, 0.25, 0.05, truth.target)
     val res = Matchers.run(Approach.FastMatch, t, reader, index2, 0)
@@ -270,11 +270,29 @@ class MatchersSpec extends AnyFunSuite {
   test("an index with more or fewer candidates than the task fails at the call") {
     val (reader, index, truth, _) = standardSetup()
     val vz = truth.hists.length
-    def resized(n: Int) = new BitmapIndex(Array.tabulate(n)(z =>
-      if (z < vz) index.bitmaps(z) else new java.util.BitSet(reader.numBlocks)), reader.numBlocks)
+    def resized(n: Int) = new BitmapIndex(
+      Array.tabulate(n)(z => if (z < vz) index.bitmaps(z) else new java.util.BitSet(reader.numBlocks)),
+      Array.tabulate(n)(z => if (z < vz) index.tuples(z) else 0L), reader.numBlocks)
     for (n <- Seq(vz - 1, vz + 1)) {
       val e = intercept[IllegalArgumentException](Matchers.run(Approach.FastMatch, task(truth), reader, resized(n), 0))
       assert(e.getMessage.contains(s"index has $n candidates"), e.getMessage)
+    }
+  }
+
+  test("a reader with more tuples of a candidate than the index's N_z fails, naming approach, start, z, n and N_z") {
+    val (reader, index, truth, _) = standardSetup()
+    val vz = truth.hists.length
+    // a valid index (one tuple in each of candidate 0's blocks) of a different store
+    val short = new BitmapIndex(index.bitmaps,
+      Array.tabulate(vz)(z => if (z == 0) index.blockCount(0).toLong else index.tuples(z)), reader.numBlocks)
+    assert(index.tuples(0) > short.tuples(0))
+    for (app <- Approach.all) {
+      val e = intercept[IllegalStateException](Matchers.run(app, task(truth, eps = 1e-6, delta = 1e-9), reader, short, 4))
+      val m = s"${app.name} from block 4: candidate 0 has (\\d+) tuples read, more than the index's N_z = (\\d+)".r
+      e.getMessage match {
+        case m(n, total) => assert(n.toLong > total.toLong && total.toLong == short.tuples(0), e.getMessage)
+        case other       => fail(other)
+      }
     }
   }
 

@@ -6,7 +6,7 @@ import repro.index.BitmapIndex
 
 class PoliciesSpec extends AnyFunSuite {
 
-  /** Hand-built index: 4 candidates over 8 blocks. */
+  /** Hand-built index: 4 candidates over 8 blocks, one tuple in each block of a candidate. */
   private def toyIndex: BitmapIndex = {
     val bitmaps = Array.fill(4)(new BitSet(8))
     // candidate 0 in blocks {0, 1}, 1 in {2, 3}, 2 in {4, 5, 6}, 3 in {7}
@@ -14,7 +14,7 @@ class PoliciesSpec extends AnyFunSuite {
     bitmaps(1).set(2); bitmaps(1).set(3)
     bitmaps(2).set(4); bitmaps(2).set(5); bitmaps(2).set(6)
     bitmaps(3).set(7)
-    new BitmapIndex(bitmaps, 8)
+    new BitmapIndex(bitmaps, bitmaps.map(_.cardinality.toLong), 8)
   }
 
   test("syncAnyActive reads a block iff an active candidate is present") {
@@ -62,7 +62,7 @@ class PoliciesSpec extends AnyFunSuite {
     val rng = new java.util.Random(3)
     val bitmaps = Array.fill(6)(new BitSet(64))
     for (z <- 0 until 6; b <- 0 until 64 if rng.nextDouble() < 0.3) bitmaps(z).set(b)
-    val idx = new BitmapIndex(bitmaps, 64)
+    val idx = new BitmapIndex(bitmaps, bitmaps.map(_.cardinality.toLong), 64)
     for (trial <- 0 until 20) {
       val active = Array.fill(6)(rng.nextBoolean())
       val blocks = Array.range(0, 64).filter(_ => rng.nextDouble() < 0.7)
@@ -86,7 +86,7 @@ class PoliciesSpec extends AnyFunSuite {
     // candidate 0 present in all blocks: only one candidate examined
     val bitmaps = Array.fill(3)(new BitSet(8))
     (0 until 8).foreach(bitmaps(0).set)
-    val idx = new BitmapIndex(bitmaps, 8)
+    val idx = new BitmapIndex(bitmaps, bitmaps.map(_.cardinality.toLong), 8)
     val cost = new Cost
     val toRead = Policies.lookaheadAnyActive(idx, Array(true, true, true), Array.range(0, 8), cost)
     assert(toRead.sameElements(Array.range(0, 8)))
@@ -143,7 +143,7 @@ class PoliciesSpec extends AnyFunSuite {
       val density = Seq(0.0, 0.002, 0.02, 0.2, 0.9)(rng.nextInt(5))
       val bitmaps = Array.fill(vz)(new BitSet(numBlocks))
       for (z <- 0 until vz; b <- 0 until numBlocks if rng.nextDouble() < density) bitmaps(z).set(b)
-      val idx = new BitmapIndex(bitmaps, numBlocks)
+      val idx = new BitmapIndex(bitmaps, bitmaps.map(_.cardinality.toLong), numBlocks)
       val active = trial % 4 match {
         case 0 => Array.fill(vz)(false)
         case 1 => Array.fill(vz)(true)

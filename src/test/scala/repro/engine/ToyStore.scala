@@ -49,7 +49,7 @@ object ToyStore {
     }
     val index = BitmapIndex.fromBlockTriples(
       perBlock.iterator.zipWithIndex.flatMap { case (m, blk) =>
-        m.keysIterator.map { case (z, _) => (blk, z, 1) }
+        m.iterator.map { case ((z, _), c) => (blk, z, c) }
       }, vz, b)
     val target = Hist.normalize(hists(0))
     val tau = hists.map(h => Hist.dist(h, target))

@@ -2,8 +2,9 @@ package repro.index
 
 import java.util.BitSet
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import repro.{Oracle, SparkSpec}
 import repro.data.{CondCol, Gen, RangeCol}
+import repro.engine.PrefetchedCounts
 
 class BitmapIndexSpec extends SparkSpec {
 
@@ -50,6 +51,47 @@ class BitmapIndexSpec extends SparkSpec {
     val idx2 = BitmapIndex.fromBlockTriples(triples, 4, numBlocks)
     for (z <- 0 until 4) {
       assert(idx2.bitmaps(z) == index.bitmaps(z), s"bitmap mismatch for z=$z")
+      assert(idx2.tuples(z) == index.tuples(z), s"tuple count mismatch for z=$z")
+    }
+  }
+
+  test("N_z from build and from allTriples equals DuckDB's COUNT(*) GROUP BY z, whatever the partitioning") {
+    // vz = 5: candidate 4 has no tuples, and the LEFT JOIN gives it a count of 0
+    val vz = 5
+    val cands = spark.range(vz).select(col("id").cast("int").as("z"))
+    val sql = "SELECT c.z AS z, COUNT(t.z) AS n FROM c LEFT JOIN t ON c.z = t.z GROUP BY c.z"
+    for ((what, frame) <- Seq("df" -> df, "repartitioned" -> df.repartition(7))) {
+      val built = BitmapIndex.build(frame, "z", vz, "block", numBlocks)
+      val counts = PrefetchedCounts.build(frame, "z", "x", "block", numBlocks)
+      val fromTriples = BitmapIndex.fromBlockTriples(counts.allTriples, vz, numBlocks)
+      for (idx <- Seq(built, fromTriples)) {
+        val got = spark.createDataFrame((0 until vz).map(z => (z, idx.tuples(z)))).toDF("z", "n")
+        Oracle.assertEquivalent(got, sql, "c" -> cands, "t" -> frame.select("z"))
+      }
+      assert(built.tuples(4) == 0 && fromTriples.tuples(4) == 0, what)
+    }
+  }
+
+  test("the constructor rejects tuple counts that do not fit the bitmaps") {
+    val bits = Array.fill(3)(new BitSet(10))
+    bits(0).set(1); bits(0).set(4); bits(1).set(9)
+    def reject(tuples: Array[Long], msg: String): Unit = {
+      val e = intercept[IllegalArgumentException](new BitmapIndex(bits, tuples, 10))
+      assert(e.getMessage.contains(msg), e.getMessage)
+    }
+    new BitmapIndex(bits, Array(2L, 7L, 0L), 10) // valid
+    reject(Array(2L, 7L), "2 tuple counts for 3 candidates")
+    reject(Array(2L, 7L, 0L, 0L), "4 tuple counts for 3 candidates")
+    reject(Array(2L, 7L, -1L), "candidate 2: negative tuple count -1")
+    reject(Array(1L, 7L, 0L), "candidate 0: 1 tuples in 2 blocks")
+    reject(Array(2L, 7L, 3L), "candidate 2: 3 tuples but no block")
+  }
+
+  test("fromBlockTriples rejects an entry with no tuples") {
+    for (c <- Seq(0, -2)) {
+      val e = intercept[IllegalArgumentException](
+        BitmapIndex.fromBlockTriples(Iterator((3, 0, 2), (5, 1, c)), 2, 10))
+      assert(e.getMessage.contains(s"block 5: count $c for candidate 1"), e.getMessage)
     }
   }
 
@@ -61,7 +103,7 @@ class BitmapIndexSpec extends SparkSpec {
 
   /** `idx` and an index built from `BitSet`s agree in every observable. */
   private def assertAgreesWithBitSets(idx: BitmapIndex, bitsets: Array[BitSet], what: String): Unit = {
-    val ref = new BitmapIndex(bitsets, idx.numBlocks)
+    val ref = new BitmapIndex(bitsets, Array.tabulate(bitsets.length)(idx.tuples), idx.numBlocks)
     assert(idx.nCandidates == bitsets.length, what)
     for (z <- bitsets.indices) {
       assert(idx.blockCount(z) == bitsets(z).cardinality, s"$what: blockCount($z)")
@@ -108,7 +150,7 @@ class BitmapIndexSpec extends SparkSpec {
 
   test("a block id at or beyond numBlocks is rejected") {
     val bits = new BitSet(10); bits.set(10)
-    intercept[IllegalArgumentException](new BitmapIndex(Array(bits), 10))
+    intercept[IllegalArgumentException](new BitmapIndex(Array(bits), Array(1L), 10))
     intercept[IllegalArgumentException](BitmapIndex.fromBlockTriples(Iterator((10, 0, 1)), 1, 10))
     intercept[IllegalArgumentException](BitmapIndex.fromBlockTriples(Iterator((-1, 0, 1)), 1, 10))
     intercept[IllegalArgumentException](BitmapIndex.fromBlockTriples(Iterator((0, 1, 1)), 1, 10))
