@@ -3,6 +3,7 @@ package repro.engine
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.Checked.asInt
+import repro.index.BitmapIndex
 import scala.collection.mutable.ArrayBuilder
 
 /** Receives the contents of storage blocks from [[BlockReader.visit]]:
@@ -108,12 +109,13 @@ final class PrefetchedCounts private (
     }
   }
 
-  /** Every CSR entry as (block, z, count), block by block: what
-    * [[repro.index.BitmapIndex.fromBlockTriples]] takes. One small
+  /** Every CSR entry as (block, z, count), block by block: the store's
+    * [[BitmapIndex.Entries]], from which `fromBlockTriples` builds an
+    * index with N_z. One small
     * iterator with no inner iterators or closures, so that a caller's
     * `while` loop over it can be compiled without the tuples and boxes.
     */
-  def allTriples: Iterator[(Int, Int, Int)] = new Iterator[(Int, Int, Int)] {
+  def allTriples: BitmapIndex.Entries = new BitmapIndex.Entries {
     private var b = 0
     private var i = 0
     override def hasNext: Boolean = i < zArr.length

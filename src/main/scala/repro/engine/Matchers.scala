@@ -98,8 +98,8 @@ object Matchers {
       s"index has ${index.nCandidates} candidates, task has vz=${task.vz}")
     val state = new HistSimState(task.vz, task.target)
     val cost = new Cost
-    val sink = new Sink(state, cost, b)
-    markExhausted(state, index, approach, startBlock) // candidates with no tuples
+    val sink = new Sink(state, cost, index)
+    sink.markExhausted(approach, startBlock) // candidates with no tuples
 
     var iter: Iteration = Deviations.iterate(state, task.k, task.eps, task.delta)
     cost.statsIters += 1
@@ -125,7 +125,7 @@ object Matchers {
       var n = 0
       var scanned = 0
       while (n < chunkBuf.length && scanned < b && sink.readCount < b) {
-        if (!sink.readSet.get(pos)) { chunkBuf(n) = pos; n += 1 }
+        if (!sink.isRead(pos)) { chunkBuf(n) = pos; n += 1 }
         pos += 1; if (pos == b) pos = 0
         scanned += 1
       }
@@ -151,7 +151,7 @@ object Matchers {
       }
       if (toRead.nonEmpty) {
         reader.visit(toRead, sink)
-        markExhausted(state, index, approach, startBlock)
+        sink.markExhausted(approach, startBlock)
       }
       if (approach != Approach.Scan) runStats()
       done = terminated(iter)
@@ -187,46 +187,29 @@ object Matchers {
     )
   }
 
-  /** Sampling without replacement: marks exact every candidate z whose
-    * N_z tuples ([[BitmapIndex.tuples]]) have all been read, so that its
-    * histogram is the true one and its deviation 0. Every block that holds
-    * z holds at least one tuple of z, so this is the same as having read
-    * every block of z. One pass over the candidates, after each visit.
-    * Throws if a candidate has more tuples read than N_z: the reader and
-    * the index describe different stores.
-    */
-  private[engine] def markExhausted(state: HistSimState, index: BitmapIndex,
-                                    approach: Approach, startBlock: Int): Unit = {
-    val n = state.n; val exact = state.exact
-    var z = 0
-    while (z < n.length) {
-      val total = index.tuples(z)
-      if (n(z) >= total) {
-        if (n(z) > total)
-          throw new IllegalStateException(s"${approach.name} from block $startBlock: candidate $z has " +
-            s"${n(z)} tuples read, more than the index's N_z = $total")
-        exact(z) = true
-      }
-      z += 1
-    }
-  }
-
   /** Takes in the blocks a run reads: adds their counts to the state's
     * `counts` and `n`, and counts the blocks in the cost and the read set.
     * Allocates nothing per block or tuple, and assumes no order of a
-    * block's triples.
+    * block's triples. After each visit, [[markExhausted]] marks the
+    * candidates that have been read in full.
     */
-  private[engine] final class Sink(state: HistSimState, cost: Cost, numBlocks: Int) extends BlockVisitor {
+  private[engine] final class Sink(state: HistSimState, cost: Cost, index: BitmapIndex) extends BlockVisitor {
     private val vz = state.nCandidates
     private val vx = state.vx
     private val counts = state.counts
     private val n = state.n
-    val readSet = new java.util.BitSet(numBlocks)
+    private val numBlocks = index.numBlocks
+    // the read set, one bit per block, laid out as the index's bitmaps
+    private val read = new Array[Long]((numBlocks + 63) >>> 6)
     var readCount = 0
     private var block = -1 // the id of the block being read
+    // without N_z: the first `covered(z)` words of z's bitmap hold only read blocks
+    private val covered = if (index.hasTuples) null else new Array[Int](vz)
+
+    def isRead(b: Int): Boolean = (read(b >>> 6) & (1L << b)) != 0
 
     override def startBlock(b: Int): Unit = {
-      readSet.set(b); readCount += 1
+      read(b >>> 6) |= 1L << b; readCount += 1
       cost.blocksRead += 1
       block = b
     }
@@ -243,6 +226,50 @@ object Matchers {
         if (z < 0 || z >= vz || x < 0 || x >= vx)
           s"block $block: candidate $z, group $x outside [0, $vz) × [0, $vx)"
         else s"block $block: negative count $c for candidate $z, group $x")
+
+    /** Sampling without replacement: marks exact every candidate z whose
+      * tuples have all been read, so that its histogram is the true one
+      * and its deviation 0. One pass over the candidates, after each visit.
+      *
+      * With N_z in the index ([[BitmapIndex.tuples]]), z is exhausted once
+      * n(z) = N_z: every block that holds z holds at least one tuple of z,
+      * so this is the same as having read every block of z. Throws if a
+      * candidate has more tuples read than N_z, or fewer once every block
+      * is read: the reader and the index describe different stores.
+      *
+      * Without N_z, z is exhausted once every block of its bitmap is read,
+      * tested from the first word not yet known to be covered. Both rules
+      * mark the same candidates on the same reads.
+      */
+    def markExhausted(approach: Approach, startBlock: Int): Unit = {
+      val exact = state.exact
+      var z = 0
+      if (index.hasTuples) {
+        val allRead = readCount == numBlocks
+        while (z < vz) {
+          val total = index.tuples(z)
+          if (n(z) >= total || allRead) {
+            if (n(z) != total)
+              throw new IllegalStateException(s"${approach.name} from block $startBlock: candidate $z has " +
+                s"${n(z)} tuples read" + (if (n(z) > total) ", more than" else s" from all $numBlocks blocks, fewer than") +
+                s" the index's N_z = $total")
+            exact(z) = true
+          }
+          z += 1
+        }
+      } else {
+        while (z < vz) {
+          if (!exact(z)) {
+            val w = index.words(z)
+            var i = covered(z)
+            while (i < w.length && (w(i) & ~read(i)) == 0) i += 1
+            covered(z) = i
+            exact(z) = i == w.length
+          }
+          z += 1
+        }
+      }
+    }
   }
 }
 

@@ -6,20 +6,23 @@ import org.apache.spark.sql.functions._
 import repro.Checked.asInt
 
 /** Per-candidate block bitmaps (Section 4.1, "Bitmap Index Structures"),
-  * with each candidate's tuple count.
+  * with each candidate's tuple count where the index was built from one.
   *
   * For candidate value z, bit p is set iff block p contains at least one
   * tuple with Z = z. The sampling engine probes these to apply the
   * AnyActive block-selection policy. One bit per *block* (not per tuple),
   * as in the paper. Next to each bitmap the index holds N_z, the number of
   * tuples with Z = z in the store: a run has read every tuple of z, and
-  * so holds z's exact histogram, once it has counted N_z of them.
+  * so holds z's exact histogram, once it has counted N_z of them. An index
+  * built from block membership alone ([[hasTuples]] false) holds no N_z.
   *
   * Each bitmap is stored once, as ⌈numBlocks/64⌉ 64-bit words (bit p in
   * word p / 64 at position p % 64), so that a lookahead pass tests 64
   * blocks with one AND. Bitmaps are immutable after construction:
   * [[blockCount]] is computed once, when the index is built, and
   * [[bitmaps]] returns copies.
+  *
+  * @param tupleCounts N_z per candidate, or null when unknown
   */
 final class BitmapIndex private (val numBlocks: Int, bits: Array[Array[Long]], tupleCounts: Array[Long]) {
 
@@ -37,14 +40,19 @@ final class BitmapIndex private (val numBlocks: Int, bits: Array[Array[Long]], t
     c
   }
 
-  require(tupleCounts.length == nCandidates,
-    s"${tupleCounts.length} tuple counts for $nCandidates candidates")
-  for (z <- 0 until nCandidates) {
-    val n = tupleCounts(z); val blocks = blockCounts(z)
-    require(n >= 0, s"candidate $z: negative tuple count $n")
-    // every block that holds z holds at least one tuple of z
-    require(n >= blocks, s"candidate $z: $n tuples in $blocks blocks")
-    require(blocks > 0 || n == 0, s"candidate $z: $n tuples but no block")
+  /** Whether the index holds N_z ([[tuples]]). */
+  val hasTuples: Boolean = tupleCounts != null
+
+  if (hasTuples) {
+    require(tupleCounts.length == nCandidates,
+      s"${tupleCounts.length} tuple counts for $nCandidates candidates")
+    for (z <- 0 until nCandidates) {
+      val n = tupleCounts(z); val blocks = blockCounts(z)
+      require(n >= 0, s"candidate $z: negative tuple count $n")
+      // every block that holds z holds at least one tuple of z
+      require(n >= blocks, s"candidate $z: $n tuples in $blocks blocks")
+      require(blocks > 0 || n == 0, s"candidate $z: $n tuples but no block")
+    }
   }
 
   /** Does block `b` contain any tuple of candidate `z`? */
@@ -53,8 +61,13 @@ final class BitmapIndex private (val numBlocks: Int, bits: Array[Array[Long]], t
   /** Number of distinct blocks containing candidate z. */
   def blockCount(z: Int): Int = blockCounts(z)
 
-  /** N_z: the number of tuples with Z = z in the store. */
-  def tuples(z: Int): Long = tupleCounts(z)
+  /** N_z: the number of tuples with Z = z in the store. Throws if the
+    * index holds no tuple counts.
+    */
+  def tuples(z: Int): Long = {
+    if (!hasTuples) throw new IllegalStateException("an index built from block membership alone holds no N_z")
+    tupleCounts(z)
+  }
 
   /** Candidate z's bitmap words, ⌈numBlocks/64⌉ of them, with no bit at
     * or beyond `numBlocks`. The index's own array: callers must not write
@@ -106,16 +119,46 @@ object BitmapIndex {
     new BitmapIndex(numBlocks, words, tuples)
   }
 
-  /** Build from driver-side (block, z, count) entries, each with a count
-    * of at least 1 (used when counts were already prefetched; must agree
-    * with [[build]] — tested). A `while` loop over the iterator, so that
-    * the JIT can drop each entry's tuple once `next` is inlined.
+  /** A store's contents as (block, z, count) entries: each tuple of the
+    * store is counted in exactly one entry, and each count is at least 1.
+    * [[repro.engine.PrefetchedCounts.allTriples]] yields them; [[Entries.apply]]
+    * marks any iterator that keeps this contract. The type picks the
+    * [[fromBlockTriples]] overload that records N_z.
+    */
+  abstract class Entries extends Iterator[(Int, Int, Int)]
+
+  object Entries {
+    def apply(entries: Iterator[(Int, Int, Int)]): Entries = new Entries {
+      override def hasNext: Boolean = entries.hasNext
+      override def next(): (Int, Int, Int) = entries.next()
+    }
+  }
+
+  /** Build from driver-side (block, z, x) triples (must agree with
+    * [[build]] — tested). Only block and z are read, so the index holds no
+    * N_z; a run over it decides exhaustion from its bitmaps, with the same
+    * results. A store's [[Entries]] take the overload below, which records
+    * N_z.
     */
   def fromBlockTriples(triples: Iterator[(Int, Int, Int)], vz: Int, numBlocks: Int): BitmapIndex = {
     val words = empty(vz, numBlocks)
-    val tuples = new Array[Long](vz)
     while (triples.hasNext) {
       val t = triples.next()
+      set(words, t._2, t._1, numBlocks)
+    }
+    new BitmapIndex(numBlocks, words, null)
+  }
+
+  /** Build from a store's (block, z, count) entries, each with a count of
+    * at least 1 (used when counts were already prefetched; must agree
+    * with [[build]] — tested). A `while` loop over the iterator, so that
+    * the JIT can drop each entry's tuple once `next` is inlined.
+    */
+  def fromBlockTriples(entries: Entries, vz: Int, numBlocks: Int): BitmapIndex = {
+    val words = empty(vz, numBlocks)
+    val tuples = new Array[Long](vz)
+    while (entries.hasNext) {
+      val t = entries.next()
       val z = t._2; val c = t._3
       set(words, z, t._1, numBlocks)
       // a plain throw: a `require`'s by-name message would capture the

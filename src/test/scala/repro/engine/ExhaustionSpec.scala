@@ -5,9 +5,10 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{Deviations, Hist, HistSimState}
 import repro.index.BitmapIndex
 
-/** Exhaustion from tuple counts ([[Matchers.markExhausted]] after each
-  * visit, refresh iff `n` moved) against [[BlockCountingSink]], visit by
-  * visit, over random block stores.
+/** Exhaustion after each visit ([[Matchers.Sink.markExhausted]]), from
+  * tuple counts and from bitmaps alone, and the refresh rule of
+  * `Deviations.iterate` (refresh iff `n` moved) against
+  * [[BlockCountingSink]], visit by visit, over random block stores.
   */
 class ExhaustionSpec extends AnyFunSuite {
 
@@ -18,6 +19,9 @@ class ExhaustionSpec extends AnyFunSuite {
     override def toString: String =
       s"Store(vz=$vz, vx=$vx, blocks ${blocks.map(_.mkString("[", " ", "]")).mkString(" ")}, " +
         s"visits ${visits.map(_.mkString(",")).mkString(" | ")})"
+
+    def triples: Iterator[(Int, Int, Int)] =
+      blocks.indices.iterator.flatMap(b => blocks(b).iterator.map { case (z, _, c) => (b, z, c) })
   }
 
   private final class ArrayReader(blocks: Array[Array[(Int, Int, Int)]]) extends BlockReader {
@@ -25,44 +29,52 @@ class ExhaustionSpec extends AnyFunSuite {
     override def read(bs: Array[Int]): Array[Array[(Int, Int, Int)]] = bs.map(blocks(_))
   }
 
-  /** Runs the store's visits through `Matchers`' sink and through the
-    * oracle; after the start and after each visit, compares the exact
-    * flags and the candidates `Deviations.iterate` refreshes with the
-    * oracle's exact and dirty flags. Returns the first mismatch.
+  /** Runs the store's visits through `Matchers`' sink, once over an index
+    * with N_z and once over one without, and through the oracle; after
+    * the start and after each visit, compares each run's exact flags and
+    * the candidates `Deviations.iterate` refreshes with the oracle's exact
+    * and dirty flags. Returns the first mismatch.
     */
   private def mismatch(s: Store): Option[String] = {
     val reader = new ArrayReader(s.blocks)
-    val index = BitmapIndex.fromBlockTriples(
-      s.blocks.indices.iterator.flatMap(b => s.blocks(b).iterator.map { case (z, _, c) => (b, z, c) }),
-      s.vz, s.blocks.length)
-    val state = new HistSimState(s.vz, Hist.uniform(s.vx))
-    val sink = new Matchers.Sink(state, new Cost, s.blocks.length)
-    val oracle = new BlockCountingSink(index)
+    val counted = BitmapIndex.fromBlockTriples(BitmapIndex.Entries(s.triples), s.vz, s.blocks.length)
+    val bitmapsOnly = BitmapIndex.fromBlockTriples(s.triples, s.vz, s.blocks.length)
+    assert(counted.hasTuples && !bitmapsOnly.hasTuples)
+    val runs = Seq(counted, bitmapsOnly).map { index =>
+      val state = new HistSimState(s.vz, Hist.uniform(s.vx))
+      (if (index.hasTuples) "N_z" else "bitmaps", state, new Matchers.Sink(state, new Cost, index))
+    }
+    val oracle = new BlockCountingSink(counted)
     (Array.empty[Int] :: s.visits).iterator.zipWithIndex.map { case (visit, v) =>
-      if (visit.nonEmpty) { reader.visit(visit, sink); reader.visit(visit, oracle) }
-      Matchers.markExhausted(state, index, Approach.FastMatch, 0)
-      // poison tau: the candidates iterate refreshes are those it changes
-      val saved = state.tau.clone()
-      java.util.Arrays.fill(state.tau, -1.0)
-      Deviations.iterate(state, 1, 0.1, 0.05)
-      val refreshed = state.tau.indices.filter(state.tau(_) != -1.0)
-      state.tau.indices.foreach(z => if (state.tau(z) == -1.0) state.tau(z) = saved(z))
+      if (visit.nonEmpty) reader.visit(visit, oracle)
       val dirty = oracle.dirty.indices.filter(oracle.dirty)
       java.util.Arrays.fill(oracle.dirty, false)
-      if (!state.exact.sameElements(oracle.exact))
-        Some(s"visit $v: exact ${state.exact.mkString(",")}, oracle ${oracle.exact.mkString(",")}")
-      else if (refreshed != dirty)
-        Some(s"visit $v: refreshed ${refreshed.mkString(",")}, oracle dirty ${dirty.mkString(",")}")
-      else None
+      runs.iterator.map { case (rule, state, sink) =>
+        if (visit.nonEmpty) reader.visit(visit, sink)
+        sink.markExhausted(Approach.FastMatch, 0)
+        // poison tau: the candidates iterate refreshes are those it changes
+        val saved = state.tau.clone()
+        java.util.Arrays.fill(state.tau, -1.0)
+        Deviations.iterate(state, 1, 0.1, 0.05)
+        val refreshed = state.tau.indices.filter(state.tau(_) != -1.0)
+        state.tau.indices.foreach(z => if (state.tau(z) == -1.0) state.tau(z) = saved(z))
+        if (!state.exact.sameElements(oracle.exact))
+          Some(s"$rule, visit $v: exact ${state.exact.mkString(",")}, oracle ${oracle.exact.mkString(",")}")
+        else if (refreshed != dirty)
+          Some(s"$rule, visit $v: refreshed ${refreshed.mkString(",")}, oracle dirty ${dirty.mkString(",")}")
+        else None
+      }.collectFirst { case Some(d) => d }
     }.collectFirst { case Some(d) => d }
   }
 
   /** Candidate 0 has no tuples and candidate 1 lies in one block; counts
     * are often above 1, a block may list one (z, x) twice, and the run
-    * visits a prefix of a random block order in batches of 1 to 4.
+    * visits a prefix of a random block order in batches of 1 to 4. A
+    * store has 1 to 12 blocks, or 60 to 140, so that bitmaps span several
+    * words.
     */
   private val storeGen: Gen[Store] = for {
-    numBlocks <- Gen.choose(1, 12)
+    numBlocks <- Gen.frequency(3 -> Gen.choose(1, 12), 1 -> Gen.choose(60, 140))
     vz <- Gen.choose(2, 8)
     vx <- Gen.choose(1, 4)
     confined <- Gen.choose(0, numBlocks - 1)
@@ -85,7 +97,7 @@ class ExhaustionSpec extends AnyFunSuite {
     Store(vz, vx, blocks, visits)
   }
 
-  test("property: exact flags and refreshed candidates equal the block-counting oracle's after every visit") {
+  test("property: exact flags and refreshed candidates equal the block-counting oracle's after every visit, with and without N_z") {
     val params = SCTest.Parameters.default
       .withMinSuccessfulTests(500)
       .withInitialSeed(org.scalacheck.rng.Seed(4242L))
@@ -101,12 +113,12 @@ class ExhaustionSpec extends AnyFunSuite {
     for (order <- Seq(List(Array(0), Array(1), Array(2)), List(Array(2, 1), Array(0)), List(Array(1, 0, 2))))
       assert(mismatch(Store(3, 2, blocks, order)).isEmpty, order.map(_.mkString(",")).mkString(" | "))
     val state = new HistSimState(3, Hist.uniform(2))
-    val index = BitmapIndex.fromBlockTriples(Iterator((0, 1, 2), (1, 2, 1), (2, 2, 1)), 3, 3)
-    Matchers.markExhausted(state, index, Approach.Scan, 0)
+    val index = BitmapIndex.fromBlockTriples(BitmapIndex.Entries(Iterator((0, 1, 2), (1, 2, 1), (2, 2, 1))), 3, 3)
+    val sink = new Matchers.Sink(state, new Cost, index)
+    sink.markExhausted(Approach.Scan, 0)
     assert(state.exact.sameElements(Array(true, false, false)))
-    val sink = new Matchers.Sink(state, new Cost, 3)
     new ArrayReader(Array(Array((1, 0, 2)), Array((2, 1, 1)), Array((2, 0, 1)))).visit(Array(0, 1), sink)
-    Matchers.markExhausted(state, index, Approach.Scan, 0)
+    sink.markExhausted(Approach.Scan, 0)
     assert(state.exact.sameElements(Array(true, true, false)))
   }
 }

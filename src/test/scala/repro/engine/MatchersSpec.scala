@@ -197,15 +197,23 @@ class MatchersSpec extends AnyFunSuite {
     * `RunResult`s.
     */
   private def assertSameRuns(reader: BlockReader, pc: PrefetchedCounts, index: BitmapIndex,
-                             truth: Truth): Unit = {
+                             truth: Truth): Unit =
+    assertSameRuns(reader, index, pc, index, truth)
+
+  /** Runs every approach on `reader` over `index` and on `wantReader`
+    * over `wantIndex` (the same store) from several starts and for two
+    * tasks, and asserts field-identical `RunResult`s.
+    */
+  private def assertSameRuns(reader: BlockReader, index: BitmapIndex, wantReader: BlockReader,
+                             wantIndex: BitmapIndex, truth: Truth): Unit = {
     def costs(r: RunResult) = Seq(r.cost.tuplesRead, r.cost.blocksRead, r.cost.blocksConsidered,
       r.cost.probesCold, r.cost.probesWarm, r.cost.lineMisses, r.cost.statsIters)
     def same(x: Double, y: Double) = java.lang.Double.compare(x, y) == 0
     for ((t, i) <- Seq(task(truth), task(truth, eps = 0.12, delta = 0.01)).zipWithIndex;
-         app <- Approach.all; start <- Seq(0, 17, 101, pc.numBlocks - 1)) {
+         app <- Approach.all; start <- Seq(0, 17, 101, wantReader.numBlocks - 1)) {
       val what = s"task $i $app start=$start"
       val got = Matchers.run(app, t, reader, index, start)
-      val want = Matchers.run(app, t, pc, index, start)
+      val want = Matchers.run(app, t, wantReader, wantIndex, start)
       assert(got.approach == want.approach, what)
       assert(got.matching.sameElements(want.matching), what)
       assert(got.counts.indices.forall(z => got.counts(z).sameElements(want.counts(z))), what)
@@ -215,6 +223,17 @@ class MatchersSpec extends AnyFunSuite {
       assert(costs(got) == costs(want), what)
       assert(same(got.simTime, want.simTime), what)
     }
+  }
+
+  test("an index without N_z, built from (block, z, x) triples, gives the same RunResult as one with N_z") {
+    val (toy, index, truth, _) = standardSetup()
+    val pc = prefetch(toy)
+    val all = pc.read(Array.range(0, pc.numBlocks))
+    val bitmapsOnly = BitmapIndex.fromBlockTriples(
+      all.indices.iterator.flatMap(b => all(b).iterator.map(t => (b, t._1, t._2))), index.nCandidates, pc.numBlocks)
+    assert(index.hasTuples && !bitmapsOnly.hasTuples)
+    assert(bitmapsOnly.bitmaps.sameElements(index.bitmaps))
+    assertSameRuns(toy, bitmapsOnly, pc, index, truth)
   }
 
   test("a reader with only read (default visit) gives the same RunResult as PrefetchedCounts") {
@@ -293,6 +312,18 @@ class MatchersSpec extends AnyFunSuite {
         case m(n, total) => assert(n.toLong > total.toLong && total.toLong == short.tuples(0), e.getMessage)
         case other       => fail(other)
       }
+    }
+  }
+
+  test("a reader with fewer tuples of a candidate than the index's N_z fails once every block is read") {
+    val (reader, index, truth, _) = standardSetup()
+    val vz = truth.hists.length
+    val long = new BitmapIndex(index.bitmaps,
+      Array.tabulate(vz)(z => if (z == 3) index.tuples(z) + 1 else index.tuples(z)), reader.numBlocks)
+    for (app <- Approach.all) {
+      val e = intercept[IllegalStateException](Matchers.run(app, task(truth, eps = 1e-6, delta = 1e-9), reader, long, 4))
+      assert(e.getMessage == s"${app.name} from block 4: candidate 3 has ${index.tuples(3)} tuples read from all " +
+        s"${reader.numBlocks} blocks, fewer than the index's N_z = ${index.tuples(3) + 1}", e.getMessage)
     }
   }
 

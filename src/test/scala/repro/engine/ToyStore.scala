@@ -47,10 +47,10 @@ object ToyStore {
       override def read(blocks: Array[Int]): Array[Array[(Int, Int, Int)]] =
         blocks.map(blk => perBlock(blk).iterator.map { case ((z, x), c) => (z, x, c) }.toArray)
     }
-    val index = BitmapIndex.fromBlockTriples(
+    val index = BitmapIndex.fromBlockTriples(BitmapIndex.Entries(
       perBlock.iterator.zipWithIndex.flatMap { case (m, blk) =>
         m.iterator.map { case ((z, _), c) => (blk, z, c) }
-      }, vz, b)
+      }), vz, b)
     val target = Hist.normalize(hists(0))
     val tau = hists.map(h => Hist.dist(h, target))
     val k = 2

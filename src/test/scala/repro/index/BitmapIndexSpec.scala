@@ -48,7 +48,7 @@ class BitmapIndexSpec extends SparkSpec {
   test("fromBlockTriples agrees with the Spark-built index") {
     val triples = df.select("block", "z").collect()
       .map(r => (r.getInt(0), r.getInt(1), 1)).iterator
-    val idx2 = BitmapIndex.fromBlockTriples(triples, 4, numBlocks)
+    val idx2 = BitmapIndex.fromBlockTriples(BitmapIndex.Entries(triples), 4, numBlocks)
     for (z <- 0 until 4) {
       assert(idx2.bitmaps(z) == index.bitmaps(z), s"bitmap mismatch for z=$z")
       assert(idx2.tuples(z) == index.tuples(z), s"tuple count mismatch for z=$z")
@@ -90,9 +90,18 @@ class BitmapIndexSpec extends SparkSpec {
   test("fromBlockTriples rejects an entry with no tuples") {
     for (c <- Seq(0, -2)) {
       val e = intercept[IllegalArgumentException](
-        BitmapIndex.fromBlockTriples(Iterator((3, 0, 2), (5, 1, c)), 2, 10))
+        BitmapIndex.fromBlockTriples(BitmapIndex.Entries(Iterator((3, 0, 2), (5, 1, c))), 2, 10))
       assert(e.getMessage.contains(s"block 5: count $c for candidate 1"), e.getMessage)
     }
+  }
+
+  test("fromBlockTriples over plain triples reads only block and z, and holds no N_z") {
+    val idx = BitmapIndex.fromBlockTriples(Iterator((3, 0, 0), (5, 1, -7), (5, 1, 2), (9, 1, 1)), 3, 10)
+    assert(!idx.hasTuples)
+    assert(idx.bitmaps.map(_.toString).toSeq == Seq("{3}", "{5, 9}", "{}"))
+    assert(idx.blockCount(1) == 2)
+    val e = intercept[IllegalStateException](idx.tuples(0))
+    assert(e.getMessage.contains("no N_z"), e.getMessage)
   }
 
   test("build rejects out-of-range candidate values") {
@@ -103,7 +112,9 @@ class BitmapIndexSpec extends SparkSpec {
 
   /** `idx` and an index built from `BitSet`s agree in every observable. */
   private def assertAgreesWithBitSets(idx: BitmapIndex, bitsets: Array[BitSet], what: String): Unit = {
-    val ref = new BitmapIndex(bitsets, Array.tabulate(bitsets.length)(idx.tuples), idx.numBlocks)
+    // an index without N_z is compared with one holding a tuple per block
+    val tuples = Array.tabulate(bitsets.length)(z => if (idx.hasTuples) idx.tuples(z) else bitsets(z).cardinality.toLong)
+    val ref = new BitmapIndex(bitsets, tuples, idx.numBlocks)
     assert(idx.nCandidates == bitsets.length, what)
     for (z <- bitsets.indices) {
       assert(idx.blockCount(z) == bitsets(z).cardinality, s"$what: blockCount($z)")
@@ -126,6 +137,9 @@ class BitmapIndexSpec extends SparkSpec {
     assertAgreesWithBitSets(
       BitmapIndex.fromBlockTriples(rows.iterator.map { case (b, z) => (b, z, 1) }, 5, numBlocks),
       bitsets, "fromBlockTriples")
+    assertAgreesWithBitSets(
+      BitmapIndex.fromBlockTriples(BitmapIndex.Entries(rows.iterator.map { case (b, z) => (b, z, 1) }), 5, numBlocks),
+      bitsets, "fromBlockTriples over entries")
   }
 
   test("fromBlockTriples agrees with BitSets across word boundaries") {
