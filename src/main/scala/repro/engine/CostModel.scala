@@ -23,7 +23,7 @@ package repro.engine
   *                    {delta_i} before each block decision; the expected
   *                    wait is a fraction of one statistics iteration
   *
-  * Per-approach wall formulas live in [[Matchers]]; asynchronous
+  * Per-approach wall formulas live in [[Approach]]; asynchronous
   * components (FastMatch/ScanMatch statistics) contribute max(), serial
   * ones (SyncMatch) contribute sums.
   */

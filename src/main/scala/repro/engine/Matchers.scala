@@ -3,19 +3,60 @@ package repro.engine
 import repro.core.{Deviations, HistSimState, Iteration}
 import repro.index.BitmapIndex
 
-/** The five approaches of Section 5.2. */
-sealed abstract class Approach(val name: String)
+/** The five approaches of Section 5.2, FastMatch with features turned
+  * off, as configurations of [[Matchers.run]]'s one round body. The loop
+  * is single-threaded; `wall` models the real system's (a)synchrony.
+  */
+sealed abstract class Approach(val name: String) {
+  /** Blocks considered per round; each round is one statistics iteration. */
+  private[engine] def chunk(p: CostParams, numBlocks: Int): Int = p.lookahead
+  /** The blocks of `chunk` to read, in chunk order: all, unless the approach prunes. */
+  private[engine] def select(index: BitmapIndex, active: Array[Boolean], chunk: Array[Int], cost: Cost): Array[Int] =
+    chunk
+  /** The stopping rule: HistSim's sum criterion sum delta_i <= delta. */
+  private[engine] def done(it: Iteration, task: MatchTask): Boolean = it.deltaUpper <= task.delta
+  /** Modeled wall time in tuple units; statistics run asynchronously: max(io, stats). */
+  private[engine] def wall(cost: Cost, p: CostParams, vz: Int): Double =
+    math.max(cost.ioUnits(p), cost.statsUnits(p, vz))
+}
 object Approach {
-  /** Exact heap scan over all blocks — trivially satisfies both guarantees. */
-  case object Scan extends Approach("Scan")
+  /** Exact heap scan: one round over every block, after which every candidate is exact; wall = io. */
+  case object Scan extends Approach("Scan") {
+    override private[engine] def chunk(p: CostParams, numBlocks: Int): Int = numBlocks
+    override private[engine] def done(it: Iteration, task: MatchTask): Boolean = false
+    override private[engine] def wall(cost: Cost, p: CostParams, vz: Int): Double = cost.ioUnits(p)
+  }
   /** Sequential reads, per-candidate fixed-width criterion max delta_i <= delta/|V_Z|. */
-  case object SlowMatch extends Approach("SlowMatch")
+  case object SlowMatch extends Approach("SlowMatch") {
+    override private[engine] def done(it: Iteration, task: MatchTask): Boolean = it.deltaMax <= task.delta / task.vz
+  }
   /** Sequential reads, HistSim criterion sum delta_i <= delta, no pruning. */
   case object ScanMatch extends Approach("ScanMatch")
-  /** AnyActive pruning per individual block, no lookahead (cache-cold probes). */
-  case object SyncMatch extends Approach("SyncMatch")
-  /** Full FastMatch: AnyActive pruning with lookahead + async statistics. */
-  case object FastMatch extends Approach("FastMatch")
+  /** AnyActive pruning per individual block (Algorithm 2, cache-cold probes), no
+    * lookahead, synchronous statistics: wall = io + coldProbes + perBlockStall.
+    */
+  case object SyncMatch extends Approach("SyncMatch") {
+    /** The real system refreshes the deltas before every block; a statistics
+      * iteration every 16 blocks keeps the loop tractable, and probes are still
+      * charged per block. It does change block selection: at 1 block per round
+      * every SyncMatch golden fingerprint changes, blocks read move by -3.2 %
+      * to +0.2 % per run, and 9 of 18 matchings change order (not members).
+      */
+    override private[engine] def chunk(p: CostParams, numBlocks: Int): Int = 16
+    override private[engine] def select(index: BitmapIndex, active: Array[Boolean], chunk: Array[Int],
+                                        cost: Cost): Array[Int] =
+      chunk.filter(Policies.syncAnyActive(index, active, _, cost))
+    override private[engine] def wall(cost: Cost, p: CostParams, vz: Int): Double =
+      cost.ioUnits(p) + cost.coldProbeUnits(p) + cost.stallUnits(p, vz)
+  }
+  /** Full FastMatch: AnyActive pruning with lookahead (Algorithm 3), async statistics. */
+  case object FastMatch extends Approach("FastMatch") {
+    override private[engine] def select(index: BitmapIndex, active: Array[Boolean], chunk: Array[Int],
+                                        cost: Cost): Array[Int] =
+      Policies.lookaheadAnyActive(index, active, chunk, cost)
+    override private[engine] def wall(cost: Cost, p: CostParams, vz: Int): Double =
+      math.max(cost.ioUnits(p) + cost.warmProbeUnits(p), cost.statsUnits(p, vz))
+  }
 
   val all: Seq[Approach] = Seq(Scan, SlowMatch, ScanMatch, SyncMatch, FastMatch)
 }
@@ -61,28 +102,12 @@ final case class RunResult(
 )
 
 /** Drives the HistSim statistics engine against a block store — the
-  * FastMatch system loop (Figure 5) and its degraded variants.
-  *
-  * The real system runs I/O, sampling and statistics in separate threads;
-  * here the loop is single-threaded and the *wall-clock consequences* of
-  * (a)synchrony are produced by the cost model:
-  *
-  *   Scan       wall = io
-  *   Slow/Scan  wall = max(io, stats)                  (stats async)
-  *   SyncMatch  wall = io + coldProbes + perBlockStall (all serial)
-  *   FastMatch  wall = max(io + warmProbes, stats)     (stats async)
+  * FastMatch system loop (Figure 5), run for every [[Approach]] with one
+  * round body: collect the next chunk of unread blocks, select the blocks
+  * to read, read them with one `visit`, mark the exhausted candidates and
+  * iterate the statistics.
   */
 object Matchers {
-
-  /** Blocks between statistics iterations for ScanMatch and SlowMatch. */
-  private val RoundBlocks = 512
-
-  /** Simulation granularity of SyncMatch's "freshest delta" updates: a
-    * statistics iteration every this many considered blocks. The real
-    * system refreshes per block; 16 keeps the simulation tractable with no
-    * observable effect on block selection.
-    */
-  private val SyncStatsEvery = 16
 
   def run(
       approach: Approach,
@@ -93,6 +118,7 @@ object Matchers {
   ): RunResult = {
     val params = CostParams()
     val b = reader.numBlocks
+    require(b >= 1, "the store has no blocks")
     require(index.numBlocks == b, "index and reader disagree on block count")
     require(index.nCandidates == task.vz,
       s"index has ${index.nCandidates} candidates, task has vz=${task.vz}")
@@ -105,22 +131,11 @@ object Matchers {
     cost.statsIters += 1
     var rounds = 0
 
-    def terminated(it: Iteration): Boolean = approach match {
-      case Approach.Scan      => false
-      case Approach.SlowMatch => it.deltaMax <= task.delta / task.vz
-      case _                  => it.deltaUpper <= task.delta
-    }
-
-    val chunkLen = approach match {
-      case Approach.SyncMatch => SyncStatsEvery
-      case Approach.FastMatch => params.lookahead
-      case _                  => RoundBlocks
-    }
-    val chunkBuf = new Array[Int](math.min(chunkLen, b))
+    val chunkBuf = new Array[Int](math.min(approach.chunk(params, b), b))
     var pos = math.floorMod(startBlock, b)
     var totalScanned = 0L
 
-    /** Next up-to-chunkLen unread blocks in circular storage order. */
+    /** Next up-to-chunkBuf.length unread blocks in circular storage order. */
     def collectChunk(): Array[Int] = {
       var n = 0
       var scanned = 0
@@ -133,46 +148,25 @@ object Matchers {
       java.util.Arrays.copyOf(chunkBuf, n)
     }
 
-    def runStats(): Unit = {
-      iter = Deviations.iterate(state, task.k, task.eps, task.delta)
-      cost.statsIters += 1
-      rounds += 1
-    }
-
-    var done = terminated(iter)
-    while (!done && sink.readCount < b) {
+    while (!approach.done(iter, task) && sink.readCount < b) {
       val chunk = collectChunk()
       cost.blocksConsidered += chunk.length
-      // AnyActive: Algorithm 2 per block, or Algorithm 3 over the chunk
-      val toRead = approach match {
-        case Approach.SyncMatch => chunk.filter(Policies.syncAnyActive(index, iter.active, _, cost))
-        case Approach.FastMatch => Policies.lookaheadAnyActive(index, iter.active, chunk, cost)
-        case _                  => chunk
-      }
+      val toRead = approach.select(index, iter.active, chunk, cost)
+      // a round that reads no block keeps the iteration, as the state is
+      // unchanged, but the real system still runs (and pays for) it
       if (toRead.nonEmpty) {
         reader.visit(toRead, sink)
         sink.markExhausted(approach, startBlock)
+        iter = Deviations.iterate(state, task.k, task.eps, task.delta)
       }
-      if (approach != Approach.Scan) runStats()
-      done = terminated(iter)
-      // Safety: a pruning pass that reads nothing can only happen once the
-      // criterion holds; guard against pathological livelock regardless.
+      cost.statsIters += 1
+      rounds += 1
+      // While the rule fails, an active candidate has an unread block, so
+      // each pass reads one: only a reader that never reports a block read
+      // (or an index that disagrees with it) gets here.
       if (totalScanned > 300L * b) throw new MatcherLivelock(approach, startBlock, totalScanned / b, sink.readCount)
     }
-
-    if (approach == Approach.Scan) runStats() // produce the exact ordering
     cost.tuplesRead = state.n.sum // every tuple read is one sample
-
-    val wall = approach match {
-      case Approach.Scan => cost.ioUnits(params)
-      case Approach.SlowMatch | Approach.ScanMatch =>
-        math.max(cost.ioUnits(params), cost.statsUnits(params, task.vz))
-      case Approach.SyncMatch =>
-        cost.ioUnits(params) + cost.coldProbeUnits(params) + cost.stallUnits(params, task.vz)
-      case Approach.FastMatch =>
-        math.max(cost.ioUnits(params) + cost.warmProbeUnits(params),
-                 cost.statsUnits(params, task.vz))
-    }
 
     // the state is not used after this point, so its tau is handed over
     RunResult(
@@ -180,10 +174,10 @@ object Matchers {
       matching = iter.matching,
       counts = Array.tabulate(task.vz)(state.hist),
       tau = state.tau,
-      deltaUpper = if (approach == Approach.Scan) 0.0 else iter.deltaUpper,
+      deltaUpper = iter.deltaUpper,
       rounds = rounds,
       cost = cost,
-      simTime = wall,
+      simTime = approach.wall(cost, params, task.vz),
     )
   }
 
@@ -274,8 +268,8 @@ object Matchers {
 }
 
 /** A run that made more than 300 passes over the store's blocks without
-  * meeting its stopping rule: a reader that never reports a block read, or
-  * a pruning policy that reads nothing while the criterion fails.
+  * meeting its stopping rule: a reader that never reports a block read,
+  * or an index whose bitmaps miss blocks the reader holds.
   */
 final class MatcherLivelock(val approach: Approach, val startBlock: Int, val passes: Long, val readCount: Int)
     extends RuntimeException(

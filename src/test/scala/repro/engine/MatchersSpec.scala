@@ -11,9 +11,11 @@ import repro.index.BitmapIndex
   */
 class MatchersSpec extends AnyFunSuite {
 
-  /** 8 candidates: 0,1 close together (top-2), 2..5 far, 6,7 rare+far. */
-  private def standardSetup(seed: Long = 1) = {
-    val freq = Array(4000, 4000, 3000, 3000, 3000, 3000, 150, 150)
+  /** 8 candidates: 0,1 close together (top-2), 2..5 far, 6,7 rare+far
+    * (`rare` tuples each).
+    */
+  private def standardSetup(seed: Long = 1, rare: Int = 150) = {
+    val freq = Array(4000, 4000, 3000, 3000, 3000, 3000, rare, rare)
     val base = Array(0.4, 0.3, 0.2, 0.1)
     def shift(i: Int) = {
       val p = base.clone()
@@ -45,6 +47,8 @@ class MatchersSpec extends AnyFunSuite {
     assert(res.cost.tuplesRead == truth.hists.map(_.sum).sum)
     assert(res.matching.sameElements(truth.topK))
     assert(res.deltaUpper == 0.0)
+    // one round over the whole store, between the first and the last iteration
+    assert(res.rounds == 1 && res.cost.statsIters == 2 && res.cost.blocksConsidered == b)
     // Scan's counts are the exact histograms
     truth.hists.indices.foreach(z => assert(res.counts(z).sameElements(truth.hists(z))))
   }
@@ -57,6 +61,8 @@ class MatchersSpec extends AnyFunSuite {
         assert(Metrics.separationHolds(res.matching, truth, t.eps), s"$store $app separation")
         assert(Metrics.reconstructionHolds(res.matching, res.counts, truth, t.eps),
           s"$store $app reconstruction")
+        // one statistics iteration per round, kept or not, plus the first
+        assert(res.cost.statsIters == res.rounds + 1, s"$store $app statsIters")
       }
     }
   }
@@ -167,6 +173,20 @@ class MatchersSpec extends AnyFunSuite {
     val res = Matchers.run(Approach.FastMatch, task(truth), reader, index, 0)
     assert(res.rounds >= 1)
     assert(res.rounds <= res.cost.blocksConsidered + 1)
+    // Once only candidates in few blocks are active, some of SyncMatch's
+    // rounds read no block; each still counts its statistics iteration.
+    val (rareReader, rareIndex, rareTruth, _) = standardSetup(rare = 20)
+    var visits = 0
+    val counting = new BlockReader {
+      override def numBlocks: Int = rareReader.numBlocks
+      override def read(blocks: Array[Int]): Array[Array[(Int, Int, Int)]] = rareReader.read(blocks)
+      override def visit(blocks: Array[Int], visitor: BlockVisitor): Unit = {
+        visits += 1; rareReader.visit(blocks, visitor)
+      }
+    }
+    val sync = Matchers.run(Approach.SyncMatch, task(rareTruth), counting, rareIndex, 0)
+    assert(visits < sync.rounds, s"$visits visits in ${sync.rounds} rounds")
+    assert(sync.cost.statsIters == sync.rounds + 1)
   }
 
   test("candidate absent from the data is handled (exact-empty)") {
@@ -295,6 +315,21 @@ class MatchersSpec extends AnyFunSuite {
     for (n <- Seq(vz - 1, vz + 1)) {
       val e = intercept[IllegalArgumentException](Matchers.run(Approach.FastMatch, task(truth), reader, resized(n), 0))
       assert(e.getMessage.contains(s"index has $n candidates"), e.getMessage)
+    }
+  }
+
+  test("a store with no blocks fails at the call") {
+    val (_, _, truth, _) = standardSetup()
+    val vz = truth.hists.length
+    val empty = new BlockReader {
+      override def numBlocks: Int = 0
+      override def read(blocks: Array[Int]): Array[Array[(Int, Int, Int)]] =
+        blocks.map(_ => Array.empty[(Int, Int, Int)])
+    }
+    val index = new BitmapIndex(Array.fill(vz)(new java.util.BitSet(0)), new Array[Long](vz), 0)
+    for (app <- Approach.all) {
+      val e = intercept[IllegalArgumentException](Matchers.run(app, task(truth), empty, index, 0))
+      assert(e.getMessage.contains("no blocks"), s"$app: ${e.getMessage}")
     }
   }
 
